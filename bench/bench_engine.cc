@@ -1,7 +1,8 @@
-// bench_engine — event-scheduler engine benchmark (wheel vs legacy heap).
+// bench_engine — event-scheduler benchmark (timer wheel + overflow heap).
 //
-// Two stages, each run once per EngineKind with an identical deterministic
-// operation sequence:
+// Two stages with a deterministic operation sequence. Each stage runs
+// twice in one process: the first run warms the allocator and caches and
+// is the determinism reference, the second is timed and reported.
 //
 //   churn     A bare-EventQueue microbench replaying the simulator's
 //             MAC/beacon event pattern: short tx-done events, ack timers
@@ -11,9 +12,10 @@
 //
 //   endtoend  A full Network with beaconing (RandomWaypoint mobility,
 //             constant density) run for a fixed simulated span at
-//             N in {1000, 4000}; reports wall-clock frames/sec and
-//             verifies both engines produced identical traffic counters
-//             (the determinism contract, asserted here on every run).
+//             N in {1000, 4000}; reports wall-clock frames/sec. The two
+//             runs of each size must produce identical traffic counters
+//             and events_fired (the determinism contract, asserted here
+//             on every run).
 //
 // Emits machine-readable BENCH_engine.json in the working directory so the
 // perf trajectory can be tracked across PRs.
@@ -77,23 +79,18 @@ double SpanFromEnv() {
   return SmokeMode() ? 1.0 : 6.0;
 }
 
-const char* EngineName(EngineKind kind) {
-  return kind == EngineKind::kWheel ? "wheel" : "heap";
-}
-
 // ---------------------------------------------------------------------------
 // Stage 1: event-churn microbench.
 
 struct ChurnResult {
-  EngineKind kind = EngineKind::kWheel;
   uint64_t ops = 0;  ///< push + cancel + pop operations performed.
   double wall_s = 0.0;
   double ops_per_s = 0.0;
   EngineStats stats;
 };
 
-ChurnResult RunChurn(EngineKind kind, int iterations) {
-  EventQueue q(kind);
+ChurnResult RunChurn(int iterations) {
+  EventQueue q;
   Rng rng(7);
   SimTime now = 0.0;
   uint64_t fired = 0;
@@ -119,7 +116,6 @@ ChurnResult RunChurn(EngineKind kind, int iterations) {
   const auto stop = std::chrono::steady_clock::now();
 
   ChurnResult r;
-  r.kind = kind;
   r.stats = q.stats();
   r.ops = r.stats.events_pushed + r.stats.events_fired +
           r.stats.events_cancelled;
@@ -132,7 +128,6 @@ ChurnResult RunChurn(EngineKind kind, int iterations) {
 // Stage 2: end-to-end beaconing network.
 
 struct EndResult {
-  EngineKind kind = EngineKind::kWheel;
   int nodes = 0;
   uint64_t frames = 0;
   double wall_s = 0.0;
@@ -141,14 +136,13 @@ struct EndResult {
   ChannelStats channel;
 };
 
-EndResult RunEndToEnd(int node_count, EngineKind kind, double sim_span) {
+EndResult RunEndToEnd(int node_count, double sim_span) {
   NetworkConfig config;
   config.node_count = node_count;
   // Constant density: scale the paper's 115x115 m / 200-node field.
   const double side = 115.0 * std::sqrt(node_count / 200.0);
   config.field = Rect::Field(side, side);
   config.mobility = MobilityKind::kRandomWaypoint;
-  config.scheduler = kind;
   config.seed = 99;
   Network net(config);
 
@@ -157,7 +151,6 @@ EndResult RunEndToEnd(int node_count, EngineKind kind, double sim_span) {
   const auto stop = std::chrono::steady_clock::now();
 
   EndResult r;
-  r.kind = kind;
   r.nodes = node_count;
   r.channel = net.channel().stats();
   r.frames = r.channel.frames_sent;
@@ -167,36 +160,33 @@ EndResult RunEndToEnd(int node_count, EngineKind kind, double sim_span) {
   return r;
 }
 
-bool SameTraffic(const ChannelStats& a, const ChannelStats& b) {
-  return a.frames_sent == b.frames_sent &&
-         a.receptions_attempted == b.receptions_attempted &&
-         a.receptions_delivered == b.receptions_delivered &&
-         a.receptions_collided == b.receptions_collided &&
-         a.receptions_lost == b.receptions_lost;
+bool SameRun(const EndResult& a, const EndResult& b) {
+  const ChannelStats& x = a.channel;
+  const ChannelStats& y = b.channel;
+  return x.frames_sent == y.frames_sent &&
+         x.receptions_attempted == y.receptions_attempted &&
+         x.receptions_delivered == y.receptions_delivered &&
+         x.receptions_collided == y.receptions_collided &&
+         x.receptions_lost == y.receptions_lost &&
+         x.candidates_scanned == y.candidates_scanned &&
+         x.airtime_s == y.airtime_s &&
+         a.stats.events_fired == b.stats.events_fired;
 }
 
-void WriteJson(const std::vector<ChurnResult>& churn,
-               const std::vector<EndResult>& end, double churn_speedup,
-               bool all_equal) {
+void WriteJson(const ChurnResult& churn, const std::vector<EndResult>& end,
+               bool deterministic) {
   std::ofstream out("BENCH_engine.json");
   out << "{\n  \"bench\": \"engine\",\n  " << bench::ProvenanceJson()
-      << ",\n  \"equivalent\": " << (all_equal ? "true" : "false")
-      << ",\n  \"churn_speedup\": " << churn_speedup
-      << ",\n  \"churn\": [\n";
-  for (size_t i = 0; i < churn.size(); ++i) {
-    const ChurnResult& r = churn[i];
-    out << "    {\"engine\": \"" << EngineName(r.kind)
-        << "\", \"ops\": " << r.ops << ", \"wall_s\": " << r.wall_s
-        << ", \"ops_per_s\": " << r.ops_per_s
-        << ", \"peak_resident\": " << r.stats.peak_resident
-        << ", \"inline_callbacks\": " << r.stats.inline_callbacks << "}"
-        << (i + 1 < churn.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"endtoend\": [\n";
+      << ",\n  \"deterministic\": " << (deterministic ? "true" : "false")
+      << ",\n  \"churn\": {\"ops\": " << churn.ops
+      << ", \"wall_s\": " << churn.wall_s
+      << ", \"ops_per_s\": " << churn.ops_per_s
+      << ", \"peak_resident\": " << churn.stats.peak_resident
+      << ", \"inline_callbacks\": " << churn.stats.inline_callbacks
+      << "},\n  \"endtoend\": [\n";
   for (size_t i = 0; i < end.size(); ++i) {
     const EndResult& r = end[i];
-    out << "    {\"nodes\": " << r.nodes << ", \"engine\": \""
-        << EngineName(r.kind) << "\", \"frames\": " << r.frames
+    out << "    {\"nodes\": " << r.nodes << ", \"frames\": " << r.frames
         << ", \"wall_s\": " << r.wall_s
         << ", \"frames_per_s\": " << r.frames_per_s
         << ", \"events_fired\": " << r.stats.events_fired
@@ -219,55 +209,41 @@ int main() {
               span);
 
   std::printf("--- churn microbench ---\n");
-  std::printf("%-7s %14s %10s %14s %10s\n", "engine", "ops/sec", "wall(s)",
-              "peak_resident", "speedup");
-  std::vector<ChurnResult> churn;
-  for (const EngineKind kind : {EngineKind::kLegacyHeap, EngineKind::kWheel}) {
-    churn.push_back(RunChurn(kind, ops));
-  }
-  const double churn_speedup = churn[1].ops_per_s / churn[0].ops_per_s;
-  for (const ChurnResult& r : churn) {
-    std::printf("%-7s %14.0f %10.3f %14llu %10s\n", EngineName(r.kind),
-                r.ops_per_s, r.wall_s,
-                static_cast<unsigned long long>(r.stats.peak_resident),
-                r.kind == EngineKind::kWheel ? "" : "-");
-  }
-  std::printf("churn speedup: %.2fx (wheel vs heap)\n", churn_speedup);
-  if (churn[0].stats.events_fired != churn[1].stats.events_fired) {
-    std::fprintf(stderr, "FAIL: churn fired counts diverged\n");
-    return 1;
-  }
+  std::printf("%14s %10s %14s\n", "ops/sec", "wall(s)", "peak_resident");
+  const ChurnResult warm = RunChurn(ops);
+  const ChurnResult churn = RunChurn(ops);
+  bool deterministic = warm.ops == churn.ops &&
+                       warm.stats.events_fired == churn.stats.events_fired;
+  std::printf("%14.0f %10.3f %14llu\n", churn.ops_per_s, churn.wall_s,
+              static_cast<unsigned long long>(churn.stats.peak_resident));
 
   std::printf("--- end-to-end beaconing ---\n");
-  std::printf("%-8s %-7s %12s %10s %12s %10s\n", "nodes", "engine",
-              "frames/sec", "wall(s)", "wheel-frac", "speedup");
+  std::printf("%-8s %12s %10s %12s %12s\n", "nodes", "frames/sec", "wall(s)",
+              "wheel-frac", "events");
   std::vector<EndResult> end;
-  bool all_equal = true;
   for (int n : sizes) {
-    const EndResult heap = RunEndToEnd(n, EngineKind::kLegacyHeap, span);
-    const EndResult wheel = RunEndToEnd(n, EngineKind::kWheel, span);
-    all_equal = all_equal && SameTraffic(heap.channel, wheel.channel);
-    for (const EndResult& r : {heap, wheel}) {
-      const uint64_t sched = r.stats.wheel_scheduled +
-                             r.stats.overflow_scheduled;
-      std::printf("%-8d %-7s %12.0f %10.3f %12.3f %10s\n", r.nodes,
-                  EngineName(r.kind), r.frames_per_s, r.wall_s,
-                  sched > 0 ? static_cast<double>(r.stats.wheel_scheduled) /
-                                  sched
-                            : 0.0,
-                  r.kind == EngineKind::kWheel ? "" : "-");
-    }
-    std::printf("%-8d speedup: %.2fx (wheel vs heap)\n", n,
-                wheel.frames_per_s / heap.frames_per_s);
-    end.push_back(heap);
-    end.push_back(wheel);
+    const EndResult warm_run = RunEndToEnd(n, span);
+    const EndResult r = RunEndToEnd(n, span);
+    const bool same = SameRun(warm_run, r);
+    deterministic = deterministic && same;
+    const uint64_t sched =
+        r.stats.wheel_scheduled + r.stats.overflow_scheduled;
+    std::printf("%-8d %12.0f %10.3f %12.3f %12llu%s\n", r.nodes,
+                r.frames_per_s, r.wall_s,
+                sched > 0 ? static_cast<double>(r.stats.wheel_scheduled) /
+                                sched
+                          : 0.0,
+                static_cast<unsigned long long>(r.stats.events_fired),
+                same ? "" : "  REPEAT DIVERGED");
+    end.push_back(r);
   }
 
-  if (!all_equal) {
+  if (!deterministic) {
     std::fprintf(stderr,
-                 "FAIL: wheel and heap traffic counters diverged\n");
+                 "FAIL: two identical runs gave different traffic "
+                 "counters or events_fired\n");
   }
-  WriteJson(churn, end, churn_speedup, all_equal);
+  WriteJson(churn, end, deterministic);
   std::printf("wrote BENCH_engine.json\n");
-  return all_equal ? 0 : 1;
+  return deterministic ? 0 : 1;
 }

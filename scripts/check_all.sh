@@ -8,7 +8,9 @@
 # in smoke mode; DIKNN_CHECK_BENCH=0 skips them), and a traced-query run
 # whose Chrome-trace and metrics JSON are validated with python3 — the
 # metrics must report zero steady-state packet-plane allocations
-# (net.allocs == 0, net.alloc_per_frame == 0; see docs/PACKET_PLANE.md).
+# (net.allocs == 0, net.alloc_per_frame == 0; see docs/PACKET_PLANE.md),
+# a frame-log smoke of `diknn-sim --trace`, a CLI validation check, and
+# the repo benchmark's smoke mode (benchmark/run.sh --smoke).
 #
 # Usage: scripts/check_all.sh
 set -euo pipefail
@@ -62,6 +64,23 @@ PY
 else
   echo "python3 not found; skipping JSON validation"
 fi
+
+echo "== frame-log smoke (diknn-sim --trace) =="
+./build/tools/diknn-sim --runs 1 --duration 5 --nodes 120 --field 90 \
+  --trace "$obs_dir/frames.csv" >/dev/null
+[[ "$(head -n 1 "$obs_dir/frames.csv")" == "time,sender,x,y,type,bytes" ]] \
+  || { echo "frame log: unexpected CSV header"; exit 1; }
+grep -q ',DiknnForward,' "$obs_dir/frames.csv" \
+  || { echo "frame log: no DiknnForward row"; exit 1; }
+echo "frame log: $(($(wc -l < "$obs_dir/frames.csv") - 1)) frames"
+
+echo "== CLI validation =="
+status=0
+./build/tools/diknn-sim --trace-sample -1 --runs 1 >/dev/null 2>&1 \
+  || status=$?
+[[ "$status" == 2 ]] \
+  || { echo "--trace-sample -1: expected exit 2, got $status"; exit 1; }
+echo "--trace-sample -1 rejected with exit 2"
 
 echo "== served-workload smoke =="
 ./build/tools/diknn-sim --runs 1 --duration 30 --nodes 120 --field 90 \
@@ -120,5 +139,8 @@ PY
 else
   echo "python3 not found; skipping flight-recorder validation"
 fi
+
+echo "== repo benchmark smoke =="
+bash benchmark/run.sh --smoke
 
 echo "All checks passed."

@@ -389,7 +389,6 @@ RunMetrics RunPsimSubstrate(const ExperimentConfig& config, uint64_t seed) {
   pc.max_speed =
       net.mobility == MobilityKind::kStatic ? 0.0 : net.max_speed;
   pc.mac = net.mac;
-  pc.scheduler = net.scheduler;
   pc.shards = config.shards;
   pc.duration = config.warmup + config.duration;
   pc.seed = seed;

@@ -80,8 +80,8 @@ struct ExperimentConfig {
   /// (column strips, or a rows x cols grid when the field is too narrow
   /// for that many strips) and runs the conservative parallel engine
   /// (src/psim) instead of the serial stack. --shards 1 (the default) is
-  /// the serial engine, unchanged — it is the determinism anchor,
-  /// exactly as kLegacyHeap anchors the timer wheel. Sharded runs
+  /// the serial engine, unchanged — it is the determinism anchor that
+  /// the golden-seed outputs in engine_determinism_test pin. Sharded runs
   /// simulate the beacon substrate plus — when `workload` is set — the
   /// full query plane (GPSR forwarding, DIKNN itineraries, the serving
   /// front end), reporting psim.* / qp.* / serving.* metrics and a

@@ -40,9 +40,8 @@ double Accuracy(const std::vector<NodeId>& returned,
 
 /// Scheduler-engine counters of one run (from Simulator::engine_stats()):
 /// event churn, wheel-vs-overflow split, callback storage split, and the
-/// run's peak scheduler footprint. Diagnostics only — excluded from the
-/// bit-identity contract because they naturally differ across engine
-/// kinds (bench_engine reports them per engine).
+/// run's peak scheduler footprint. Diagnostics of the scheduler's own
+/// bookkeeping; bench_engine reports the same counters.
 struct EngineRunCounters {
   uint64_t events_pushed = 0;
   uint64_t events_fired = 0;

@@ -191,8 +191,10 @@ void Channel::Transmit(Node* sender, const Packet& packet) {
   stats_.airtime_s += duration;
   sender->energy().ChargeTx(packet.size_bytes, params_.radio_range_m,
                             packet.category);
-  for (const auto& entry : transmit_observers_) {
-    entry.second(packet, sender->id(), origin);
+  if (tracer_ != nullptr) {
+    tracer_->RecordFrame(FrameRecord{now, origin, MessageTypeName(packet.type),
+                                     sender->id(),
+                                     static_cast<uint32_t>(packet.size_bytes)});
   }
 
   PeriodicSweep();
@@ -247,8 +249,7 @@ void Channel::Transmit(Node* sender, const Packet& packet) {
       ++stats_.receptions_attempted;
 
       // Collision check: any reception still in progress at this
-      // receiver overlaps the new frame, corrupting both (the new frame
-      // always; the ongoing one too unless capture mode preserves it).
+      // receiver overlaps the new frame, corrupting both.
       const uint32_t index = static_cast<uint32_t>(frame->flags.size());
       frame->flags.push_back(0);
       const size_t slot = static_cast<size_t>(receiver->id());
@@ -259,13 +260,11 @@ void Channel::Transmit(Node* sender, const Packet& packet) {
       lane.Compact(now);
       for (size_t i = 0; i < lane.end_times.size(); ++i) {
         frame->flags[index] = 1;
-        if (!params_.capture) {
-          // A reception still in progress always refers to a live slot
-          // (its delivery event has not fired yet).
-          InFlightFrame* other = frames_.Get(lane.frames[i]);
-          assert(other != nullptr);
-          other->flags[lane.flag_indices[i]] = 1;
-        }
+        // A reception still in progress always refers to a live slot (its
+        // delivery event has not fired yet).
+        InFlightFrame* other = frames_.Get(lane.frames[i]);
+        assert(other != nullptr);
+        other->flags[lane.flag_indices[i]] = 1;
       }
       lane.end_times.push_back(end);
       lane.frames.push_back(handle);

@@ -3,7 +3,7 @@
 // Model: a frame transmitted at time t occupies the air for
 // duration = bytes * 8 / bit_rate, and is heard by every live node within
 // `radio_range_m` of the sender. A receiver with two temporally overlapping
-// audible frames corrupts both (no capture by default). Independent random
+// audible frames corrupts both (no capture effect). Independent random
 // loss models fading and interference beyond collisions. These are exactly
 // the effects the paper's evaluation leans on: contention between
 // concurrent itinerary traversals, KPT's collision-driven energy spike at
@@ -49,8 +49,6 @@ struct ChannelParams {
   double radio_range_m = 20.0;  ///< Paper: r = 20 m.
   double bit_rate_bps = 250e3;  ///< Paper: 250 kbps LR-WPAN channel.
   double loss_rate = 0.0;       ///< Per-receiver independent drop prob.
-  bool capture = false;         ///< If true, the earlier frame survives a
-                                ///  collision when it is already mid-air.
   /// Serve delivery and carrier sensing from the spatial hash grid. The
   /// brute-force O(N) scan is kept for equivalence testing; both paths
   /// produce bit-identical outcomes for the same seed.
@@ -119,26 +117,10 @@ class Channel {
   /// for tests.
   double grid_cell_size() const { return cell_size_; }
 
-  /// Observers invoked at the start of every transmission, with the
-  /// sender id and its position. Any number may be attached (the packet
-  /// TraceRecorder and the query Tracer coexist); each attachment returns
-  /// an id for detaching. Observers must not transmit re-entrantly.
-  using TransmitObserver =
-      std::function<void(const Packet&, NodeId sender, Point position)>;
-  using ObserverId = uint64_t;
-  ObserverId AddTransmitObserver(TransmitObserver observer) {
-    const ObserverId id = next_observer_id_++;
-    transmit_observers_.emplace_back(id, std::move(observer));
-    return id;
-  }
-  void RemoveTransmitObserver(ObserverId id) {
-    std::erase_if(transmit_observers_,
-                  [id](const auto& entry) { return entry.first == id; });
-  }
-
-  /// Query tracer for frame-level attribution (collisions, losses, fault
-  /// hits on traced frames). Not owned; pass nullptr to detach. The
-  /// tracer records only — it cannot perturb delivery.
+  /// Tracer for frame-level attribution: the frame log (one FrameRecord
+  /// per transmission) plus collisions, losses and fault hits on traced
+  /// queries' frames. Not owned; pass nullptr to detach. The tracer
+  /// records only — it cannot perturb delivery.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
   Tracer* tracer() const { return tracer_; }
 
@@ -318,8 +300,6 @@ class Channel {
   Simulator* sim_;
   ChannelParams params_;
   Rng rng_;
-  std::vector<std::pair<ObserverId, TransmitObserver>> transmit_observers_;
-  ObserverId next_observer_id_ = 1;
   Tracer* tracer_ = nullptr;
   FaultHook fault_hook_;
   bool replaying_fault_ = false;  // Guards hook re-entry on duplicates.

@@ -23,7 +23,7 @@ std::unique_ptr<MobilityModel> MakeMobility(const NetworkConfig& config,
 }  // namespace
 
 Network::Network(const NetworkConfig& config)
-    : config_(config), sim_(config.scheduler), rng_(config.seed) {
+    : config_(config), rng_(config.seed) {
   if (!config_.explicit_positions.empty()) {
     config_.node_count =
         static_cast<int>(config_.explicit_positions.size());

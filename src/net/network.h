@@ -36,12 +36,6 @@ struct NetworkConfig {
   /// Serve channel delivery / carrier sensing from the spatial hash grid
   /// (bit-identical to the brute-force scan; see ChannelParams).
   bool use_spatial_grid = true;
-  /// Scheduler implementation for this network's simulator. The timer
-  /// wheel (default) and the legacy binary heap fire events in an
-  /// identical order (docs/ENGINE.md), so runs are bit-identical either
-  /// way; the heap is kept for bench_engine A/B runs and the
-  /// engine_determinism_test equivalence checks.
-  EngineKind scheduler = EngineKind::kWheel;
   SimTime beacon_interval = 0.5;
   SimTime neighbor_timeout = 1.5;
   MobilityKind mobility = MobilityKind::kRandomWaypoint;

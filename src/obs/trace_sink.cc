@@ -286,4 +286,14 @@ void TraceSink::WriteCsv(std::ostream& os) const {
   }
 }
 
+void TraceSink::WriteFrameCsv(std::ostream& os) const {
+  // Numbers use the stream's own formatting (6 significant digits by
+  // default), the format existing frame-log consumers parse.
+  os << "time,sender,x,y,type,bytes\n";
+  for (const FrameRecord& f : data_.frames) {
+    os << f.time << ',' << f.sender << ',' << f.position.x << ','
+       << f.position.y << ',' << f.type << ',' << f.bytes << '\n';
+  }
+}
+
 }  // namespace diknn

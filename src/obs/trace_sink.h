@@ -1,5 +1,6 @@
 // Trace export: Chrome trace-event JSON (Perfetto / chrome://tracing),
-// per-query critical-path summaries, and CSV for plotting.
+// per-query critical-path summaries, span CSV for plotting, and the
+// per-frame CSV log.
 //
 // Chrome trace mapping: each traced query is one "process" (pid =
 // trace id) so Perfetto shows it as its own track group; within a query,
@@ -65,6 +66,10 @@ class TraceSink {
 
   /// One row per span: trace,span,parent,kind,sector,node,start,end.
   void WriteCsv(std::ostream& os) const;
+
+  /// The frame log: a "time,sender,x,y,type,bytes" header, then one row
+  /// per transmitted frame in transmit order.
+  void WriteFrameCsv(std::ostream& os) const;
 
   /// Per-query phase attribution, sorted slowest-first.
   const std::vector<CriticalPath>& critical_paths() const { return paths_; }

@@ -146,6 +146,11 @@ void Tracer::AddEvent(const TraceContext& ctx, TraceEventKind kind,
   ++stats_.events;
 }
 
+void Tracer::RecordFrame(const FrameRecord& frame) {
+  AllocScopePause pause;
+  frames_.push_back(frame);
+}
+
 void Tracer::CloseTrace(TraceId trace, SimTime now) {
   if (trace == 0) return;
   AllocScopePause pause;
@@ -169,6 +174,7 @@ TraceData Tracer::Snapshot() const {
   data.stats = stats_;
   data.spans = spans_;
   data.events = events_;
+  data.frames = frames_;
   return data;
 }
 

@@ -8,6 +8,12 @@
 // its kQuery span; the TraceSink renders those trees as Chrome trace
 // JSON, critical-path summaries, and CSV.
 //
+// A Tracer attached to the Channel also keeps the frame log: one
+// FrameRecord per transmitted frame, sampled or not — the analogue of
+// the paper's modified ns-2 trace format ("the trace format of ns-2 is
+// modified so that the query execution can be visualized", Section 5.2).
+// TraceSink::WriteFrameCsv exports it.
+//
 // Determinism contract: the tracer must never perturb the simulation.
 // It draws no RNG shared with the sim (sampling hashes its own arrival
 // counter), schedules no events, and every recording call on an
@@ -21,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/geometry.h"
 #include "obs/trace_context.h"
 #include "sim/event_queue.h"
 
@@ -92,6 +99,16 @@ struct SpanEvent {
   double value = 0.0;  ///< Kind-specific payload (retry count, rings, ...).
 };
 
+/// One transmitted frame, recorded when it goes on the air (fault-dropped
+/// frames included: the sender did transmit).
+struct FrameRecord {
+  SimTime time = 0.0;
+  Point position;            ///< Sender position at transmit time.
+  const char* type = "";     ///< MessageTypeName (a static string).
+  int32_t sender = -1;
+  uint32_t bytes = 0;        ///< Over-the-air size, MAC header included.
+};
+
 struct TracerStats {
   uint64_t queries_seen = 0;     ///< StartQuery calls (sampling decisions).
   uint64_t queries_sampled = 0;  ///< Traces actually recorded.
@@ -106,6 +123,7 @@ struct TraceData {
   TracerStats stats;
   std::vector<Span> spans;
   std::vector<SpanEvent> events;
+  std::vector<FrameRecord> frames;
 };
 
 class Tracer {
@@ -138,6 +156,10 @@ class Tracer {
   /// unsampled.
   void AddEvent(const TraceContext& ctx, TraceEventKind kind, SimTime now,
                 int32_t node = -1, double value = 0.0);
+
+  /// Appends one frame to the frame log (called by the Channel for every
+  /// transmission while this tracer is attached).
+  void RecordFrame(const FrameRecord& frame);
 
   /// Closes every span of `trace` still open (root included) at `now`.
   /// Idempotent; used at query completion / teardown so timed-out
@@ -172,6 +194,7 @@ class Tracer {
   const TracerStats& stats() const { return stats_; }
   const std::vector<Span>& spans() const { return spans_; }
   const std::vector<SpanEvent>& events() const { return events_; }
+  const std::vector<FrameRecord>& frames() const { return frames_; }
 
   /// Span lookup by id (1-based); nullptr for 0 / out of range.
   const Span* FindSpan(SpanId id) const {
@@ -203,6 +226,7 @@ class Tracer {
 
   std::vector<Span> spans_;
   std::vector<SpanEvent> events_;
+  std::vector<FrameRecord> frames_;
   // Open spans per live trace, so CloseTrace never scans the full span
   // vector (erased when the trace closes; bounded by in-flight queries).
   std::unordered_map<TraceId, std::vector<SpanId>> open_;

@@ -73,7 +73,6 @@ uint64_t PsimShard::NodeSeed(uint64_t run_seed, uint32_t node,
 PsimShard::PsimShard(PsimWorld* world, int id)
     : world_(world),
       id_(id),
-      sim_(world->config.scheduler),
       shard_rng_(ShardSeed(world->config.seed, id)) {
   // Pre-size every container the window loop grows, so the steady-state
   // halves of even short runs perform zero allocations (the net.allocs

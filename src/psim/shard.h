@@ -74,7 +74,6 @@ struct PsimConfig {
   double max_speed = 10.0;  ///< mu_max; 0 = static nodes.
   double grid_refresh_interval_s = 0.25;
   MacParams mac;
-  EngineKind scheduler = EngineKind::kWheel;
   int shards = 1;           ///< Requested; clamped by the partition.
   SimTime duration = 5.0;
   uint64_t seed = 1;

@@ -11,13 +11,13 @@ namespace diknn {
 
 namespace {
 
-// Strict (time, seq) order shared by the run sort and both heaps.
+// Strict (time, seq) order of the run sort.
 constexpr auto kRefBefore = [](const auto& a, const auto& b) {
   if (a.time != b.time) return a.time < b.time;
   return a.seq < b.seq;
 };
 // Inverted comparator: std::push_heap/pop_heap build a max-heap, so
-// feeding them "greater" yields the min-heap both tiers want.
+// feeding them "greater" yields the overflow tier's min-heap.
 constexpr auto kRefAfter = [](const auto& a, const auto& b) {
   if (a.time != b.time) return a.time > b.time;
   return a.seq > b.seq;
@@ -25,25 +25,7 @@ constexpr auto kRefAfter = [](const auto& a, const auto& b) {
 
 }  // namespace
 
-EventId EventQueue::PushLegacy(SimTime t, std::function<void()> fn) {
-  // Scheduler storage (heap array, id set) is engine capacity, not the
-  // scheduling subsystem's transient allocation. The caller's closure was
-  // already built (and attributed) before this call.
-  AllocScopePause capacity;
-  const EventId id = legacy_next_id_++;
-  legacy_heap_.push_back(LegacyEntry{t, next_seq_++, id, std::move(fn)});
-  std::push_heap(legacy_heap_.begin(), legacy_heap_.end(), kRefAfter);
-  legacy_live_.insert(id);
-  ++live_count_;
-  ++resident_;
-  ++stats_.events_pushed;
-  ++stats_.heap_callbacks;
-  stats_.peak_live = std::max<uint64_t>(stats_.peak_live, live_count_);
-  stats_.peak_resident = std::max<uint64_t>(stats_.peak_resident, resident_);
-  return id;
-}
-
-EventId EventQueue::PushWheel(SimTime t, SmallFn fn) {
+EventId EventQueue::PushFn(SimTime t, SmallFn fn) {
   // Wheel buckets, the sorted run, the overflow heap and the slot pool
   // all grow to a high-water mark and are recycled thereafter: engine
   // capacity, excluded from the caller's transient allocation counters.
@@ -59,7 +41,7 @@ EventId EventQueue::PushWheel(SimTime t, SmallFn fn) {
     // Lands in the bucket being drained (or, for a misuse-tolerant
     // past-time push, before it): merge into the sorted run. The new
     // event carries the highest sequence number, so among equal
-    // timestamps it goes last — exactly the heap's FIFO order.
+    // timestamps it goes last: FIFO within the timestamp.
     auto it = std::upper_bound(run_.begin() + run_head_, run_.end(), ref,
                                kRefBefore);
     run_.insert(it, ref);
@@ -114,13 +96,6 @@ void EventQueue::FreeSlot(uint32_t index) {
 }
 
 void EventQueue::Cancel(EventId id) {
-  if (engine_ == EngineKind::kLegacyHeap) {
-    if (legacy_live_.erase(id) != 0) {
-      --live_count_;
-      ++stats_.events_cancelled;
-    }
-    return;
-  }
   const uint64_t low = id & 0xffffffffu;
   if (low == 0) return;
   const uint32_t slot = static_cast<uint32_t>(low - 1);
@@ -132,7 +107,6 @@ void EventQueue::Cancel(EventId id) {
 }
 
 bool EventQueue::IsPending(EventId id) const {
-  if (engine_ == EngineKind::kLegacyHeap) return legacy_live_.contains(id);
   const uint64_t low = id & 0xffffffffu;
   if (low == 0) return false;
   const uint32_t slot = static_cast<uint32_t>(low - 1);
@@ -209,46 +183,18 @@ void EventQueue::EnsureRunReady() {
       ++stats_.overflow_migrated;
     }
     // Buckets partition the time axis monotonically, so sorting one
-    // bucket by (time, seq) reproduces the global heap order exactly.
+    // bucket by (time, seq) yields the global (time, seq) order.
     std::sort(run_.begin(), run_.end(), kRefBefore);
   }
 }
 
-void EventQueue::LegacySkipCancelled() {
-  while (!legacy_heap_.empty() &&
-         !legacy_live_.contains(legacy_heap_.front().id)) {
-    std::pop_heap(legacy_heap_.begin(), legacy_heap_.end(), kRefAfter);
-    legacy_heap_.pop_back();
-    --resident_;
-  }
-}
-
 SimTime EventQueue::NextTime() {
-  if (engine_ == EngineKind::kLegacyHeap) {
-    LegacySkipCancelled();
-    assert(!legacy_heap_.empty());
-    return legacy_heap_.front().time;
-  }
   assert(live_count_ > 0);
   EnsureRunReady();
   return run_[run_head_].time;
 }
 
 SmallFn EventQueue::Pop(SimTime* time_out) {
-  if (engine_ == EngineKind::kLegacyHeap) {
-    LegacySkipCancelled();
-    assert(!legacy_heap_.empty());
-    std::pop_heap(legacy_heap_.begin(), legacy_heap_.end(), kRefAfter);
-    LegacyEntry entry = std::move(legacy_heap_.back());
-    legacy_heap_.pop_back();
-    --resident_;
-    legacy_live_.erase(entry.id);
-    --live_count_;
-    ++stats_.events_fired;
-    if (time_out != nullptr) *time_out = entry.time;
-    return SmallFn(std::move(entry.fn));
-  }
-
   assert(live_count_ > 0);
   EnsureRunReady();
   const Ref ref = run_[run_head_];

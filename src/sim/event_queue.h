@@ -1,13 +1,14 @@
-// Two-tier event engine for the discrete-event simulator: a hierarchical
-// timer wheel for near-future events plus a min-heap overflow tier for
-// far-future ones, over a slab pool of generation-tagged slots.
+// The discrete-event simulator's scheduler: a hierarchical timer wheel
+// for near-future events plus a min-heap overflow tier for far-future
+// ones, over a slab pool of generation-tagged slots.
 //
-// Why not a binary heap: the simulator's load is dominated by short-lived
-// timers on the beacon/MAC timescale (CSMA backoffs, ACK timeouts, frame
-// completions, beacon rounds) that are pushed, fired or cancelled within
-// milliseconds. A priority queue pays O(log n) per operation on the whole
-// pending set and, with tombstone cancellation, keeps dead entries (and
-// their captured state) resident until they surface. Here:
+// Why not a single binary heap: the simulator's load is dominated by
+// short-lived timers on the beacon/MAC timescale (CSMA backoffs, ACK
+// timeouts, frame completions, beacon rounds) that are pushed, fired or
+// cancelled within milliseconds. A priority queue pays O(log n) per
+// operation on the whole pending set and, with tombstone cancellation,
+// keeps dead entries (and their captured state) resident until they
+// surface. Here:
 //
 //   * Push lands in a calendar bucket (O(1)) when the event fires within
 //     the wheel horizon — the common case — and in the overflow heap
@@ -16,25 +17,19 @@
 //     bump) and its callback destroyed immediately; only a 24-byte POD
 //     reference stays behind in a bucket until the cursor passes it.
 //   * Pop drains one bucket at a time, sorting each bucket's handful of
-//     entries by (time, sequence) — which reproduces the binary heap's
-//     global FIFO-within-timestamp order exactly (buckets partition the
-//     time axis monotonically), so every run is bit-identical to the
-//     reference heap engine.
+//     entries by (time, sequence). Buckets partition the time axis
+//     monotonically, so this is the global order: events fire by time,
+//     FIFO by push sequence within a timestamp. engine_determinism_test
+//     checks that contract against a direct (time, sequence) oracle and
+//     pins golden-seed run outputs.
 //   * Callbacks live in SmallFn inline storage inside the pool slot; no
 //     per-event allocation for anything that fits 64 bytes of captures.
-//
-// The pre-wheel design — `std::priority_queue` of std::function entries
-// with an unordered_set live-set — is retained behind
-// EngineKind::kLegacyHeap as the determinism anchor and benchmark
-// baseline (bench_engine, engine_determinism_test).
 
 #ifndef DIKNN_SIM_EVENT_QUEUE_H_
 #define DIKNN_SIM_EVENT_QUEUE_H_
 
 #include <array>
 #include <cstdint>
-#include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/small_fn.h"
@@ -45,17 +40,11 @@ namespace diknn {
 using SimTime = double;
 
 /// Opaque handle for a scheduled event, used for cancellation. Id 0 is
-/// never issued and acts as a null handle. Wheel-engine ids encode
+/// never issued and acts as a null handle. Ids encode
 /// (generation << 32) | (pool slot + 1), so a handle kept past its
 /// event's firing can never cancel an unrelated event that reused the
 /// slot.
 using EventId = uint64_t;
-
-/// Scheduler implementation selector.
-enum class EngineKind {
-  kWheel,       ///< Timer wheel + overflow heap + slab pool (default).
-  kLegacyHeap,  ///< Pre-wheel binary heap with tombstone cancellation.
-};
 
 /// Engine observability counters (all monotone except the sizes).
 struct EngineStats {
@@ -80,12 +69,10 @@ struct EngineStats {
 
 /// Min-ordered event queue: events fire in (time, insertion sequence)
 /// order, so events at the same timestamp fire FIFO, which keeps protocol
-/// handshakes deterministic. The ordering contract is identical across
-/// both engine kinds (see docs/ENGINE.md).
+/// handshakes deterministic (see docs/ENGINE.md).
 class EventQueue {
  public:
-  explicit EventQueue(EngineKind engine = EngineKind::kWheel)
-      : engine_(engine) {}
+  EventQueue() = default;
 
   // Non-copyable: callbacks capture simulator state.
   EventQueue(const EventQueue&) = delete;
@@ -104,10 +91,7 @@ class EventQueue {
   /// up to SmallFn::kInlineBytes are stored without allocation.
   template <typename F>
   EventId Push(SimTime t, F&& fn) {
-    if (engine_ == EngineKind::kLegacyHeap) {
-      return PushLegacy(t, std::function<void()>(std::forward<F>(fn)));
-    }
-    return PushWheel(t, SmallFn(std::forward<F>(fn)));
+    return PushFn(t, SmallFn(std::forward<F>(fn)));
   }
 
   /// Cancels a pending event in O(1): the callback is destroyed
@@ -122,22 +106,18 @@ class EventQueue {
   bool Empty() const { return live_count_ == 0; }
 
   /// Number of live events. (See ResidentEntries() for what is actually
-  /// resident in memory — the historical Size() hid cancelled entries
-  /// that the legacy heap kept resident until they surfaced.)
+  /// resident in memory.)
   size_t Size() const { return live_count_; }
 
   /// Entry references currently resident in the engine's containers:
   /// live events plus cancelled entries whose reference has not yet been
-  /// reclaimed. In the wheel engine a cancelled event's callback and
-  /// pool slot are reclaimed at Cancel() time and only a POD reference
-  /// lingers (bounded by the churn inside one wheel horizon); in the
-  /// legacy engine the whole entry — callback included — stays resident.
+  /// reclaimed. A cancelled event's callback and pool slot are reclaimed
+  /// at Cancel() time; only a POD reference lingers (bounded by the
+  /// churn inside one wheel horizon).
   size_t ResidentEntries() const { return resident_; }
 
-  /// Slab pool slots ever allocated (wheel engine; 0 for legacy).
+  /// Slab pool slots ever allocated.
   size_t PooledSlots() const { return pool_.size(); }
-
-  EngineKind engine() const { return engine_; }
 
   /// Counters; `peak_pool_slots` mirrors PooledSlots().
   const EngineStats& stats() const { return stats_; }
@@ -171,22 +151,11 @@ class EventQueue {
     bool live = false;
   };
 
-  // Legacy tier: the pre-wheel design, verbatim except that the heap is
-  // an explicit vector + std::push_heap/pop_heap (priority_queue::top()
-  // is const, which forced a const_cast to move the callback out).
-  struct LegacyEntry {
-    SimTime time;
-    uint64_t seq;
-    EventId id;
-    std::function<void()> fn;
-  };
-
   static int64_t BucketOf(SimTime t) {
     return static_cast<int64_t>(t * (1.0 / kSlotWidthS));
   }
 
-  EventId PushLegacy(SimTime t, std::function<void()> fn);
-  EventId PushWheel(SimTime t, SmallFn fn);
+  EventId PushFn(SimTime t, SmallFn fn);
 
   uint32_t AllocSlot(SmallFn fn);
   void FreeSlot(uint32_t index);
@@ -203,11 +172,6 @@ class EventQueue {
   void SetOccupied(int64_t bucket);
   void ClearOccupied(int64_t bucket);
 
-  void LegacySkipCancelled();
-
-  EngineKind engine_;
-
-  // --- wheel engine state ---
   std::vector<PoolSlot> pool_;
   uint32_t free_head_ = kNilIndex;
   std::array<std::vector<Ref>, kWheelSlots> wheel_;
@@ -216,12 +180,6 @@ class EventQueue {
   std::vector<Ref> run_;            // Current bucket, (time, seq)-sorted.
   size_t run_head_ = 0;
   std::vector<Ref> overflow_;       // Min-heap beyond the wheel horizon.
-
-  // --- legacy engine state ---
-  std::vector<LegacyEntry> legacy_heap_;  // Min-heap via std::*_heap.
-  std::unordered_set<EventId> legacy_live_;
-  EventId legacy_next_id_ = 1;
-
   uint64_t next_seq_ = 0;
   size_t live_count_ = 0;
   size_t resident_ = 0;

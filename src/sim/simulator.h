@@ -22,11 +22,7 @@ namespace diknn {
 /// (channel, MAC, mobility, protocols) share one Simulator instance.
 class Simulator {
  public:
-  /// `engine` selects the scheduler implementation; the default timer
-  /// wheel and the legacy binary heap fire events in an identical order
-  /// (see docs/ENGINE.md), so the choice only affects speed.
-  explicit Simulator(EngineKind engine = EngineKind::kWheel)
-      : queue_(engine) {}
+  Simulator() = default;
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -89,8 +85,6 @@ class Simulator {
   /// Entries resident in the scheduler, including cancelled ones whose
   /// reference has not been reclaimed yet (see EventQueue docs).
   size_t resident_events() const { return queue_.ResidentEntries(); }
-
-  EngineKind engine() const { return queue_.engine(); }
 
   /// Scheduler counters (events pushed/fired/cancelled, wheel vs
   /// overflow split, callback storage split, peak sizes).

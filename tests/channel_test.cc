@@ -111,19 +111,6 @@ TEST_F(ChannelTest, NonOverlappingFramesBothDeliver) {
   EXPECT_EQ(*count, 2);
 }
 
-TEST_F(ChannelTest, CaptureModePreservesEarlierFrame) {
-  ChannelParams params;
-  params.capture = true;
-  Build({{0, 0}, {20, 0}, {40, 0}}, params);
-  int* count = CountBeacons(1);
-  channel_->Transmit(nodes_[0].get(), MakeBeacon(100));
-  sim_.ScheduleAfter(0.001, [&] {
-    channel_->Transmit(nodes_[2].get(), MakeBeacon(100));
-  });
-  sim_.Run();
-  EXPECT_EQ(*count, 1);  // The first frame survives; the later one dies.
-}
-
 TEST_F(ChannelTest, RandomLossDropsApproximatelyAtRate) {
   ChannelParams params;
   params.loss_rate = 0.3;

@@ -224,23 +224,6 @@ TEST(EventQueueTest, OverflowTierFiresInOrderAcrossWheelRollover) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueueTest, LegacyHeapEngineMatchesWheelSemantics) {
-  for (const EngineKind kind :
-       {EngineKind::kWheel, EngineKind::kLegacyHeap}) {
-    EventQueue q(kind);
-    std::vector<int> order;
-    const EventId dropped = q.Push(1.0, [&] { order.push_back(-1); });
-    for (int i = 0; i < 3; ++i) q.Push(2.0, [&order, i] { order.push_back(i); });
-    q.Push(1.5, [&] { order.push_back(10); });
-    q.Cancel(dropped);
-    EXPECT_EQ(q.Size(), 4u);
-    while (!q.Empty()) q.Pop(nullptr)();
-    EXPECT_EQ(order, (std::vector<int>{10, 0, 1, 2}));
-    EXPECT_EQ(q.stats().events_fired, 4u);
-    EXPECT_EQ(q.stats().events_cancelled, 1u);
-  }
-}
-
 TEST(EventQueueTest, PushDuringDrainOfSameTimestampKeepsFifo) {
   // An event scheduling another event at the *same* timestamp must see
   // it fire after every already-queued event at that timestamp (the new

@@ -136,5 +136,23 @@ TEST(TraceExportTest, SeriesNamesAreJsonEscapedInCounterEvents) {
   EXPECT_TRUE(found);
 }
 
+TEST(TraceExportTest, FrameCsvHasExactHeaderAndOneRowPerFrame) {
+  Tracer tracer(0.0);
+  tracer.RecordFrame(FrameRecord{0.25, {10.5, 3.0}, "Beacon", 7, 33});
+  tracer.RecordFrame(FrameRecord{1.5, {0.0, 42.0}, "DiknnProbe", 12, 57});
+  const TraceSink sink(tracer.Snapshot());
+  std::ostringstream os;
+  sink.WriteFrameCsv(os);
+  EXPECT_EQ(os.str(),
+            "time,sender,x,y,type,bytes\n"
+            "0.25,7,10.5,3,Beacon,33\n"
+            "1.5,12,0,42,DiknnProbe,57\n");
+
+  // An empty log is the header alone.
+  std::ostringstream empty;
+  TraceSink(TraceData{}).WriteFrameCsv(empty);
+  EXPECT_EQ(empty.str(), "time,sender,x,y,type,bytes\n");
+}
+
 }  // namespace
 }  // namespace diknn

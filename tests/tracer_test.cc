@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
+#include "net/beacon.h"
 #include "obs/trace_sink.h"
+#include "workload/workload_spec.h"
 
 namespace diknn {
 namespace {
@@ -292,6 +295,94 @@ TEST(TracerTest, SampledRunTracesOnlySampledSubset) {
     if (s.kind == SpanKind::kQuery) ++roots;
   }
   EXPECT_EQ(roots, trace.stats.queries_sampled);
+}
+
+// --- Frame log: one FrameRecord per transmitted frame ------------------
+
+NetworkConfig FrameLogNetwork() {
+  NetworkConfig config;
+  config.node_count = 60;
+  config.field = Rect::Field(90, 90);
+  config.seed = 6;
+  return config;
+}
+
+TEST(TracerTest, FrameLogRecordsBeacons) {
+  Tracer tracer(0.0);  // No query is sampled; the frame log still fills.
+  Network net(FrameLogNetwork());
+  net.channel().set_tracer(&tracer);
+  net.Warmup(2.0);
+  EXPECT_GT(tracer.frames().size(), 100u);  // 60 nodes x 4 rounds.
+  EXPECT_EQ(tracer.frames().size(), net.channel().stats().frames_sent);
+  for (const FrameRecord& f : tracer.frames()) {
+    EXPECT_EQ(std::string(f.type), MessageTypeName(MessageType::kBeacon));
+    EXPECT_GE(f.time, 0.0);
+    EXPECT_GE(f.sender, 0);
+    EXPECT_TRUE(net.config().field.Contains(f.position));
+    EXPECT_EQ(f.bytes, kBeaconBodyBytes + kMacHeaderBytes);
+  }
+  EXPECT_TRUE(tracer.spans().empty());
+}
+
+TEST(TracerTest, FrameLogCapturesDiknnQueryTraffic) {
+  ExperimentConfig config;
+  config.protocol = ProtocolKind::kDiknn;
+  Tracer tracer(0.0);
+  ProtocolStack stack(config, 7);
+  Network& net = stack.network();
+  net.channel().set_tracer(&tracer);
+  net.Warmup(2.0);
+  const size_t warmup_frames = tracer.frames().size();
+
+  bool done = false;
+  stack.protocol().IssueQuery(0, {57, 57}, 10,
+                              [&](const KnnResult&) { done = true; });
+  while (!done) net.sim().RunUntil(net.sim().Now() + 0.25);
+
+  std::set<std::string> types;
+  for (size_t i = warmup_frames; i < tracer.frames().size(); ++i) {
+    types.insert(tracer.frames()[i].type);
+  }
+  for (const MessageType type :
+       {MessageType::kGeoRouted, MessageType::kDiknnProbe,
+        MessageType::kDiknnDataReply, MessageType::kDiknnForward,
+        MessageType::kMacAck}) {  // ACKs are real frames too.
+    EXPECT_TRUE(types.contains(MessageTypeName(type)))
+        << MessageTypeName(type);
+  }
+}
+
+TEST(TracerTest, FrameLogLeavesRunOutputsByteIdentical) {
+  ExperimentConfig untraced = TracedConfig();
+  untraced.trace_sample = 0.0;
+  std::string error;
+  untraced.workload = WorkloadSpec::Parse(
+      "arrival@kind=poisson,rate=4;mix@knn=60,window=20,aggregate=20;"
+      "k@lo=4,hi=10;deadline@s=1.5;admit@inflight=8,queue=4",
+      &error);
+  ASSERT_TRUE(untraced.workload.has_value()) << error;
+  ExperimentConfig traced = untraced;
+  traced.trace_sample = 1.0;
+
+  const RunMetrics a = RunOnce(untraced, 42);
+  TraceData trace;
+  const RunMetrics b = RunOnce(traced, 42, nullptr, &trace);
+  ASSERT_GT(a.slo.issued, 0u);
+  // The frame log really filled: one record per frame on the air.
+  EXPECT_EQ(trace.frames.size(), b.obs.CounterValue("channel.frames_sent"));
+  EXPECT_GT(trace.frames.size(), 0u);
+
+  EXPECT_EQ(a.slo.ToJson(), b.slo.ToJson());
+  // The metrics JSON differs only by the tracer's own tracer.* counters.
+  auto drop_tracer = [](MetricsSnapshot s) {
+    std::erase_if(s.counters, [](const MetricsSnapshot::Counter& c) {
+      return c.name.starts_with("tracer.");
+    });
+    return s.ToJson();
+  };
+  EXPECT_EQ(drop_tracer(a.obs), drop_tracer(b.obs));
+  EXPECT_EQ(a.energy_joules, b.energy_joules);
+  EXPECT_EQ(a.engine.events_fired, b.engine.events_fired);
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include <string>
 
 #include "harness/experiment.h"
-#include "harness/trace.h"
 #include "obs/trace_sink.h"
 #include "obs/tracer.h"
 
@@ -129,7 +128,7 @@ int main(int argc, char** argv) {
   std::string trace_out_path;
   std::string metrics_out_path;
   std::string ts_out_path;
-  double trace_sample = -1.0;  // < 0 = not set on the command line.
+  std::optional<double> trace_sample;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -159,6 +158,10 @@ int main(int argc, char** argv) {
       config.jobs = std::atoi(next_value());
     } else if (arg == "--shards") {
       config.shards = std::atoi(next_value());
+      if (config.shards < 1) {
+        std::fprintf(stderr, "--shards must be >= 1\n");
+        return 2;
+      }
     } else if (arg == "--windowed") {
       config.force_windowed = true;
     } else if (arg == "--duration") {
@@ -235,6 +238,10 @@ int main(int argc, char** argv) {
       trace_out_path = next_value();
     } else if (arg == "--trace-sample") {
       trace_sample = std::atof(next_value());
+      if (!(*trace_sample >= 0.0 && *trace_sample <= 1.0)) {
+        std::fprintf(stderr, "--trace-sample must be in [0,1]\n");
+        return 2;
+      }
     } else if (arg == "--metrics-out") {
       metrics_out_path = next_value();
     } else if (arg == "--ts-interval") {
@@ -259,12 +266,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "k, runs and nodes must be positive\n");
     return 2;
   }
-  if (trace_sample >= 0.0) {
-    if (trace_sample > 1.0) {
-      std::fprintf(stderr, "--trace-sample must be in [0,1]\n");
-      return 2;
-    }
-    config.trace_sample = trace_sample;
+  if (trace_sample.has_value()) {
+    config.trace_sample = *trace_sample;
   } else if (!trace_out_path.empty()) {
     config.trace_sample = 1.0;  // A trace file without a rate means "all".
   }
@@ -283,9 +286,13 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_path.empty()) {
-    // Trace run: drive the stack manually so the recorder sees it.
+    // Frame-log run: drive the stack manually with a Tracer on the
+    // channel. It samples no queries (rate 0) and only keeps the frame
+    // log, which records every transmission. Declared first, so it
+    // outlives the channel that points at it.
+    Tracer frame_log(0.0);
     ProtocolStack stack(config, config.base_seed);
-    TraceRecorder recorder(&stack.network());
+    stack.network().channel().set_tracer(&frame_log);
     // One representative query instead of the whole workload.
     stack.network().Warmup(config.warmup);
     bool done = false;
@@ -294,10 +301,11 @@ int main(int argc, char** argv) {
         [&](const KnnResult&) { done = true; });
     Simulator& sim = stack.network().sim();
     while (!done && sim.Now() < 30.0) sim.RunUntil(sim.Now() + 0.25);
+    const TraceSink sink(frame_log.Snapshot());
     std::ofstream out(trace_path);
-    recorder.WriteCsv(out);
+    sink.WriteFrameCsv(out);
     std::fprintf(stderr, "wrote %zu frames to %s\n",
-                 recorder.entries().size(), trace_path.c_str());
+                 sink.data().frames.size(), trace_path.c_str());
   }
 
   if (!trace_out_path.empty()) {

@@ -35,9 +35,10 @@
 //                            (used by scripts/check_all.sh); exits
 //                            nonzero on any counter mismatch.
 //   DIKNN_PDES_QUERY_SMOKE=1 run the query-plane smoke only: a served
-//                            workload at --shards 4 must produce goodput
-//                            > 0 with SloReport and counters byte-equal
-//                            to --shards 1.
+//                            hotspot workload at --shards 4 must produce
+//                            goodput > 0, cache hits > 0 and coalesced
+//                            followers > 0, with SloReport and counters
+//                            byte-equal to --shards 1.
 
 #include <cmath>
 #include <cstdio>
@@ -97,13 +98,22 @@ constexpr char kQuerySpec[] =
     "k@lo=4,hi=12;deadline@s=1.0;admit@inflight=48,queue=32;"
     "cache@ttl=0.4;coalesce@window=0.15";
 
-PsimConfig QueryConfigFor(int nodes, int shards, double duration) {
+// The query smoke's variant: the same stream concentrated on two
+// hotspots, so the sink's cache and coalescer are certain to fire.
+constexpr char kHotspotQuerySpec[] =
+    "arrival@kind=poisson,rate=120;mix@knn=50,window=25,aggregate=25;"
+    "k@lo=4,hi=12;deadline@s=1.0;admit@inflight=48,queue=32;"
+    "cache@ttl=0.4;coalesce@window=0.15,kslack=8;"
+    "space@kind=hotspot,n=2,sigma=6";
+
+PsimConfig QueryConfigFor(int nodes, int shards, double duration,
+                          const char* spec_text = kQuerySpec) {
   PsimConfig config = ConfigFor(nodes, shards, duration);
   config.beacon_interval = 0.1;
   config.loss_rate = 0.02;
   config.query.enabled = true;
   std::string error;
-  const auto spec = WorkloadSpec::Parse(kQuerySpec, &error);
+  const auto spec = WorkloadSpec::Parse(spec_text, &error);
   if (!spec.has_value()) {
     std::fprintf(stderr, "bench_pdes: bad query spec: %s\n",
                  error.c_str());
@@ -312,10 +322,11 @@ int RunSmoke() {
 }
 
 // Query-plane smoke (DIKNN_PDES_QUERY_SMOKE=1): a served DIKNN workload
-// at --shards 4 must complete queries (goodput > 0) with the SloReport
-// and every partition-invariant counter byte-equal to --shards 1.
+// at --shards 4 must complete queries (goodput > 0), hit the sink's cache
+// and coalesce, with the SloReport and every partition-invariant counter
+// byte-equal to --shards 1.
 int RunQuerySmoke() {
-  PsimConfig config = QueryConfigFor(768, 1, 1.2);
+  PsimConfig config = QueryConfigFor(768, 1, 1.2, kHotspotQuerySpec);
   config.field = Rect::Field(560.0, 115.0);
   config.seed = 42;
 
@@ -356,6 +367,23 @@ int RunQuerySmoke() {
                  static_cast<unsigned long long>(anchor.totals.qp.hops));
     return 1;
   }
+  // The shared serving front end really runs sharded: the sink answers
+  // from its cache and coalesces, and both tallies match the 1-shard run.
+  const ServingCounters& sc = r.slo.serving;
+  if (sc.cache_hits == 0 || sc.coalesced == 0 ||
+      sc.cache_hits != anchor.slo.serving.cache_hits ||
+      sc.coalesced != anchor.slo.serving.coalesced) {
+    std::fprintf(stderr,
+                 "PDES query smoke: serving idle or diverged at 4 shards "
+                 "(cache_hits %llu vs %llu, coalesced %llu vs %llu)\n",
+                 static_cast<unsigned long long>(sc.cache_hits),
+                 static_cast<unsigned long long>(
+                     anchor.slo.serving.cache_hits),
+                 static_cast<unsigned long long>(sc.coalesced),
+                 static_cast<unsigned long long>(
+                     anchor.slo.serving.coalesced));
+    return 1;
+  }
   if (r.totals.qp.boundary_frames == 0 ||
       r.totals.qp.boundary_frames != r.totals.qp.foreign_frames) {
     std::fprintf(stderr,
@@ -369,9 +397,11 @@ int RunQuerySmoke() {
   }
   std::printf(
       "PDES query smoke: shards {1,4} equivalent, %llu queries "
-      "completed, %.1f q/s goodput, %llu cross-shard query frames\n",
+      "completed, %.1f q/s goodput, %llu cache hits, %llu coalesced, "
+      "%llu cross-shard query frames\n",
       static_cast<unsigned long long>(r.slo.completed),
-      r.slo.GoodputQps(),
+      r.slo.GoodputQps(), static_cast<unsigned long long>(sc.cache_hits),
+      static_cast<unsigned long long>(sc.coalesced),
       static_cast<unsigned long long>(r.totals.qp.boundary_frames));
   return 0;
 }

@@ -81,6 +81,12 @@ status=0
 [[ "$status" == 2 ]] \
   || { echo "--trace-sample -1: expected exit 2, got $status"; exit 1; }
 echo "--trace-sample -1 rejected with exit 2"
+status=0
+./build/tools/diknn-sim --workload 'arrival@kind=poisson,rate=nan;k@lo=5' \
+  --runs 1 >/dev/null 2>&1 || status=$?
+[[ "$status" == 2 ]] \
+  || { echo "--workload rate=nan: expected exit 2, got $status"; exit 1; }
+echo "--workload rate=nan rejected with exit 2"
 
 echo "== served-workload smoke =="
 ./build/tools/diknn-sim --runs 1 --duration 30 --nodes 120 --field 90 \

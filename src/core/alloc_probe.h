@@ -19,6 +19,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 namespace diknn {
 
@@ -78,6 +80,28 @@ class AllocScopePause {
  private:
   AllocCounters* previous_;
 };
+
+/// Appends to a vector whose capacity is a retained high-water mark. Only
+/// the growth step runs unattributed (like FlatMap's rehash), so once the
+/// vector has reached its high water an append never allocates.
+template <typename T>
+void PushBackRetained(std::vector<T>* v, T value) {
+  if (v->size() == v->capacity()) {
+    AllocScopePause capacity;
+    v->reserve(v->empty() ? 8 : 2 * v->capacity());
+  }
+  v->push_back(std::move(value));
+}
+
+/// Overwrites `dst` with `src` under the same high-water rule.
+template <typename T>
+void AssignRetained(std::vector<T>* dst, const std::vector<T>& src) {
+  if (dst->capacity() < src.size()) {
+    AllocScopePause capacity;
+    dst->reserve(src.size());
+  }
+  dst->assign(src.begin(), src.end());
+}
 
 }  // namespace diknn
 

@@ -536,7 +536,7 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
   // sees the same arrival stream the paper generator would.
   if (config.workload.has_value()) {
     QueryDriver driver(&net, &stack.gpsr(), &stack.protocol(),
-                       *config.workload, seed * 0x9e3779b97f4a7c15ULL + 17,
+                       *config.workload, WorkloadSeed(seed),
                        config.static_sink ? 0 : kInvalidNodeId);
     driver.set_tracer(tracer.get());
     if (recorder != nullptr) InstallWorkloadProbes(recorder.get(), &driver);
@@ -596,7 +596,7 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
     return metrics;
   }
 
-  Rng workload_rng(seed * 0x9e3779b97f4a7c15ULL + 17);
+  Rng workload_rng(WorkloadSeed(seed));
   auto records = std::make_shared<std::vector<QueryRecord>>();
 
   // Query generator: Poisson arrivals from a random (mobile) sink to a

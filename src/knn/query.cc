@@ -1,7 +1,6 @@
 #include "knn/query.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace diknn {
 
@@ -14,15 +13,23 @@ std::vector<NodeId> KnnResult::CandidateIds() const {
 
 void PruneCandidates(std::vector<KnnCandidate>* candidates, const Point& q,
                      size_t count) {
-  // Deduplicate by id, keeping the most recent report for each node.
-  std::unordered_map<NodeId, KnnCandidate> freshest;
-  for (const KnnCandidate& c : *candidates) {
-    auto [it, inserted] = freshest.try_emplace(c.id, c);
-    if (!inserted && c.sampled_at > it->second.sampled_at) it->second = c;
+  // Deduplicate by id in place, keeping the most recent report for each
+  // node (the earliest one among equally recent reports). The survivors
+  // are compacted into the front; no per-call table, so pruning never
+  // allocates.
+  std::vector<KnnCandidate>& c = *candidates;
+  size_t unique = 0;
+  for (size_t i = 0; i < c.size(); ++i) {
+    const KnnCandidate report = c[i];
+    size_t j = 0;
+    while (j < unique && c[j].id != report.id) ++j;
+    if (j == unique) {
+      c[unique++] = report;
+    } else if (report.sampled_at > c[j].sampled_at) {
+      c[j] = report;
+    }
   }
-  candidates->clear();
-  candidates->reserve(freshest.size());
-  for (auto& [id, c] : freshest) candidates->push_back(c);
+  c.resize(unique);
 
   std::sort(candidates->begin(), candidates->end(),
             [&q](const KnnCandidate& a, const KnnCandidate& b) {

@@ -324,7 +324,7 @@ PsimResult PsimEngine::Run() {
                                         issued));
         timeout_rate->Append(t, SafeRate(now.timed_out - prev.timed_out,
                                          issued));
-        const ServingCounters& sc = world_->query.serving;
+        const ServingCounters& sc = world_->query.front_end->counters();
         const ServingCounters& sp = ts_state.prev_serving;
         const uint64_t hits = sc.cache_hits - sp.cache_hits;
         const uint64_t misses = sc.cache_misses - sp.cache_misses;
@@ -594,16 +594,15 @@ MetricsSnapshot PsimEngine::BuildObsSnapshot(
         reg.PublishGauge("workload.peak_inflight",
                          static_cast<double>(q.slo.peak_inflight),
                          GaugeMode::kMax);
-        reg.PublishCounter("serving.cache_hits", q.serving.cache_hits);
-        reg.PublishCounter("serving.cache_misses", q.serving.cache_misses);
-        reg.PublishCounter("serving.cache_expired",
-                           q.serving.cache_expired);
-        reg.PublishCounter("serving.cache_insertions",
-                           q.serving.cache_insertions);
-        reg.PublishCounter("serving.coalesced", q.serving.coalesced);
-        reg.PublishCounter("serving.fanned_out", q.serving.fanned_out);
-        reg.PublishCounter("serving.shed", q.serving.shed);
-        reg.PublishCounter("serving.shed_probes", q.serving.shed_probes);
+        const ServingCounters& sc = q.slo.serving;
+        reg.PublishCounter("serving.cache_hits", sc.cache_hits);
+        reg.PublishCounter("serving.cache_misses", sc.cache_misses);
+        reg.PublishCounter("serving.cache_expired", sc.cache_expired);
+        reg.PublishCounter("serving.cache_insertions", sc.cache_insertions);
+        reg.PublishCounter("serving.coalesced", sc.coalesced);
+        reg.PublishCounter("serving.fanned_out", sc.fanned_out);
+        reg.PublishCounter("serving.shed", sc.shed);
+        reg.PublishCounter("serving.shed_probes", sc.shed_probes);
       }
     }
     snaps.push_back(reg.Snapshot());

@@ -7,9 +7,9 @@
 //   2. the PsimShard frame handlers — the DIKNN emulation proper: request
 //      routing, itinerary traversal with collection, sector-result merge,
 //      reply delivery;
-//   3. the sink duties — arrival admission through the serving front end
-//      (cache, coalescing, shedding, bounded inflight + queue), timeout
-//      scans, and SLO accounting.
+//   3. the sink duties — QueryDriver's admission (bounded inflight + FIFO
+//      queue, then the shared ServingFrontEnd at launch), timeout scans,
+//      and SLO accounting.
 //
 // Determinism note repeated from the header: every decision below reads
 // only (a) state owned by the shard executing it at that window, (b)
@@ -25,10 +25,10 @@
 #include <cassert>
 #include <cmath>
 
-#include "core/rng.h"
 #include "knn/itinerary.h"
 #include "psim/shard.h"
 #include "routing/greedy.h"
+#include "workload/query_sampler.h"
 
 namespace diknn {
 
@@ -44,12 +44,6 @@ uint64_t QMix64(uint64_t x) {
 }
 
 constexpr uint64_t kQueryLossSalt = 0x0051D5EC7ull;
-
-bool CacheableClass(QueryClass cls) {
-  // Continuous subscriptions run as single-round KNN on this plane, so
-  // they share the point-KNN cache; range classes are never cached.
-  return cls == QueryClass::kKnn || cls == QueryClass::kContinuous;
-}
 
 bool RangeClass(QueryClass cls) {
   return cls == QueryClass::kWindow || cls == QueryClass::kAggregate;
@@ -139,7 +133,6 @@ void BuildQueryPlane(QueryPlaneState* qp, const Rect& field, int node_count,
   if (!cfg.enabled) return;
   const WorkloadSpec& spec = cfg.spec;
 
-  qp->radio_range = radio_range;
   qp->step = std::max(1e-3, cfg.diknn.step_fraction * radio_range);
   qp->itinerary_width = cfg.diknn.width > 0.0
                             ? cfg.diknn.width
@@ -149,69 +142,30 @@ void BuildQueryPlane(QueryPlaneState* qp, const Rect& field, int node_count,
     qp->roles[cfg.sink] = 1;  // The sink role never retires.
   }
 
-  // The schedule stream is a pure function of (seed, salt, spec) — the
-  // same fold the serial QueryDriver uses, independent of shard count.
-  Rng rng(seed * 0x9e3779b97f4a7c15ull + cfg.seed_salt);
-
-  std::vector<Point> centers;
-  std::vector<double> center_cum;
-  if (spec.spatial == SpatialKind::kHotspot) {
-    const int n = std::max(1, spec.hotspots);
-    centers.reserve(static_cast<size_t>(n));
-    center_cum.reserve(static_cast<size_t>(n));
-    double total = 0.0;
-    for (int i = 0; i < n; ++i) {
-      centers.push_back(rng.PointInRect(field));
-      total += std::pow(i + 1.0, -spec.hotspot_skew);
-      center_cum.push_back(total);
-    }
-  }
-
+  // QueryDriver's draws, stream and order, so both engines issue the
+  // same queries for one spec and seed.
+  QuerySampler sampler(spec, field, node_count, WorkloadSeed(seed),
+                       static_cast<NodeId>(cfg.sink));
   const double area = field.Area();
   const double half_diag = 0.5 * std::hypot(field.Width(), field.Height());
-  // Closed-loop arrivals are approximated by a fixed-rate open stream of
-  // `sessions` q/s (documented divergence; the protocol latency is close
-  // to one second at the defaults, so each session offers ~1 q/s).
-  double rate = spec.arrival == ArrivalKind::kClosedLoop
-                    ? static_cast<double>(std::max(1, spec.sessions))
-                    : spec.rate;
-  rate = std::max(1e-6, rate);
-  const double total_weight = std::max(1e-12, spec.TotalWeight());
-
   double t = cfg.warmup;
   float max_radius = static_cast<float>(radio_range);
   while (true) {
-    t += spec.arrival == ArrivalKind::kPoisson ? rng.Exponential(1.0 / rate)
-                                               : 1.0 / rate;
+    // Closed-loop sessions run as a fixed-rate open stream of `sessions`
+    // q/s (documented divergence; the protocol latency is close to one
+    // second at the defaults, so each session offers ~1 q/s).
+    t += spec.arrival == ArrivalKind::kClosedLoop
+             ? 1.0 / std::max(1, spec.sessions)
+             : sampler.NextInterval();
     if (t >= cfg.horizon) break;
+    const SampledQuery drawn = sampler.Next();
 
     PsimQuery q;
     q.issue_t = t;
-
-    double u = rng.NextDouble() * total_weight;
-    int cls = 0;
-    for (; cls < kNumQueryClasses - 1; ++cls) {
-      u -= spec.mix[static_cast<size_t>(cls)];
-      if (u < 0.0) break;
-    }
-    q.cls = static_cast<QueryClass>(cls);
-
-    if (spec.spatial == SpatialKind::kHotspot) {
-      const double pick = rng.NextDouble() * center_cum.back();
-      size_t c = 0;
-      while (c + 1 < center_cum.size() && pick >= center_cum[c]) ++c;
-      Point p = centers[c];
-      p.x += rng.Normal(0.0, spec.hotspot_sigma);
-      p.y += rng.Normal(0.0, spec.hotspot_sigma);
-      q.q = field.Clamp(p);
-    } else {
-      q.q = rng.PointInRect(field);
-    }
-
-    int k = spec.k_lo >= spec.k_hi ? spec.k_lo
-                                   : rng.UniformInt(spec.k_lo, spec.k_hi);
+    q.cls = drawn.cls;
+    q.q = drawn.q;
     q.k = static_cast<uint16_t>(
-        std::clamp(k, 1, static_cast<int>(kMaxQueryCandidates)));
+        std::clamp(drawn.k, 1, static_cast<int>(kMaxQueryCandidates)));
 
     if (RangeClass(q.cls)) {
       const double half = 0.5 * std::max(1.0, spec.window_side);
@@ -240,7 +194,6 @@ void BuildQueryPlane(QueryPlaneState* qp, const Rect& field, int node_count,
     }
     max_radius = std::max(max_radius, q.radius);
 
-    qp->schedule.push_back({t, static_cast<uint32_t>(qp->queries.size())});
     qp->queries.push_back(q);
   }
   qp->max_radius = max_radius;
@@ -248,56 +201,33 @@ void BuildQueryPlane(QueryPlaneState* qp, const Rect& field, int node_count,
   // Pre-size every sink-side container so steady state never allocates.
   qp->active.reserve(qp->queries.size() + 1);
   qp->queue.reserve(qp->queries.size() + 1);
-  const ServingParams sp = spec.Serving();
-  if (sp.cache_ttl > 0.0 || sp.coalesce_window > 0.0) {
-    qp->cache_nx = qp->cache_ny = std::max(1, sp.cache_cells);
-    qp->cache_cell_w = std::max(1e-9, field.Width() / qp->cache_nx);
-    qp->cache_cell_h = std::max(1e-9, field.Height() / qp->cache_ny);
-    qp->cache.assign(
-        static_cast<size_t>(qp->cache_nx) * qp->cache_ny, QueryCacheEntry{});
-    qp->cache_validity = sp.cache_ttl;
-    if (max_speed > 0.0) {
-      qp->cache_validity =
-          std::min(qp->cache_validity, radio_range / max_speed);
-    }
-    for (PsimQuery& q : qp->queries) {
-      q.cache_key = qp->CacheKeyOf(q.q);
-    }
-  }
+  qp->answer.reserve(kMaxQueryCandidates);
+  qp->front_end.emplace(spec.Serving(), field, max_speed, radio_range);
 }
 
 void FinalizeQueryPlane(QueryPlaneState* qp) {
   if (!qp->config.enabled) return;
   SloReport& slo = qp->slo;
+  // QueryDriver::Finalize's scoring: a queued arrival never launched, so
+  // it is rejected; anything still in flight (followers included) times
+  // out.
   for (PsimQuery& q : qp->queries) {
-    if (q.phase != QueryPhase::kInflight) continue;
-    q.phase = QueryPhase::kDone;
-    ++slo.timed_out;
-    for (int32_t f = q.follower_next; f >= 0;) {
-      PsimQuery& fl = qp->queries[static_cast<size_t>(f)];
-      const int32_t next = fl.follower_next;
-      if (fl.phase == QueryPhase::kFollower) {
-        fl.phase = QueryPhase::kDone;
-        ++slo.timed_out;
-      }
-      f = next;
-    }
-    q.follower_next = -1;
-  }
-  // Queued arrivals never launched; they resolve as timeouts too (and a
-  // defensive sweep keeps Consistent() honest even for orphans).
-  for (PsimQuery& q : qp->queries) {
-    if (q.phase == QueryPhase::kQueued || q.phase == QueryPhase::kFollower) {
-      q.phase = QueryPhase::kDone;
+    if (q.phase == QueryPhase::kQueued) {
+      ++slo.rejected;
+    } else if (q.phase == QueryPhase::kInflight ||
+               q.phase == QueryPhase::kFollower) {
       ++slo.timed_out;
+    } else {
+      continue;
     }
+    q.phase = QueryPhase::kDone;
   }
   qp->inflight = 0;
   qp->active.clear();
   qp->queue.clear();
   qp->queue_head = 0;
   slo.duration = std::max(0.0, qp->config.horizon - qp->config.warmup);
-  slo.serving = qp->serving;
+  slo.serving = qp->front_end->counters();
   assert(slo.Consistent());
 }
 
@@ -578,12 +508,15 @@ void PsimShard::HandleSectorResult(const PsimQueryFrame& f, SimTime now) {
 void PsimShard::HandleReply(const PsimQueryFrame& f, SimTime now) {
   QueryPlaneState& qp = world_->query;
   const uint32_t v = f.dest;
-  if (v == qp.config.sink) {
-    ResolveFromReply(f, now);
-    return;
+  if (v != qp.config.sink) {
+    PsimQueryFrame g = f;
+    SendToward(&g, v, qp.config.sink, SinkTargetPoint(), now);
+  } else if (qp.queries[f.query].phase != QueryPhase::kInflight) {
+    ++stats_.qp.late_replies;  // Timed out (or otherwise resolved) first.
+  } else {
+    ++stats_.qp.replies;
+    ResolveLeader(f.query, &f, now);
   }
-  PsimQueryFrame g = f;
-  SendToward(&g, v, qp.config.sink, SinkTargetPoint(), now);
 }
 
 void PsimShard::SendReply(uint32_t query, uint32_t home, SimTime now) {
@@ -682,26 +615,25 @@ void PsimShard::ProcessSink(uint64_t k, SimTime now) {
   QueryPlaneState& qp = world_->query;
   // Timeout scan on the sweep cadence (global sync points, so the scan
   // windows are identical at every shard count).
-  if (k % static_cast<uint64_t>(world_->partition.refresh_windows()) == 0 &&
-      !qp.active.empty()) {
-    const double timeout = qp.config.diknn.query_timeout;
-    if (timeout > 0.0) {
-      for (size_t i = 0; i < qp.active.size();) {
-        if (now - qp.queries[qp.active[i]].admit_t >= timeout) {
-          TimeOutActive(i, now);
-        } else {
-          ++i;
-        }
+  const double timeout = qp.config.diknn.query_timeout;
+  if (timeout > 0.0 &&
+      k % static_cast<uint64_t>(world_->partition.refresh_windows()) == 0) {
+    // ResolveLeader swaps the last active id into slot i.
+    for (size_t i = 0; i < qp.active.size();) {
+      const uint32_t id = qp.active[i];
+      if (now - qp.queries[id].admit_t >= timeout) {
+        ResolveLeader(id, nullptr, now);
+      } else {
+        ++i;
       }
     }
   }
   // Admit the arrivals of this window.
   const double window_end =
       static_cast<double>(k + 1) * world_->partition.lookahead();
-  while (qp.next_arrival < qp.schedule.size() &&
-         qp.schedule[qp.next_arrival].t < window_end) {
-    AdmitArrival(qp.schedule[qp.next_arrival].query, now);
-    ++qp.next_arrival;
+  while (qp.next_arrival < qp.queries.size() &&
+         qp.queries[qp.next_arrival].issue_t < window_end) {
+    AdmitArrival(static_cast<uint32_t>(qp.next_arrival++), now);
   }
 }
 
@@ -711,56 +643,8 @@ void PsimShard::AdmitArrival(uint32_t id, SimTime now) {
   PsimQuery& q = qp.queries[id];
   ++qp.slo.issued;
   ++qp.slo.issued_by_class[static_cast<size_t>(q.cls)];
-  const ServingParams sp = spec.Serving();
-  const bool cacheable = CacheableClass(q.cls) && q.cache_key >= 0;
-  // 1. Result cache: a fresh-enough entry with at least as many
-  //    neighbors answers instantly, with zero channel traffic.
-  if (sp.cache_ttl > 0.0 && cacheable) {
-    QueryCacheEntry& e = qp.cache[static_cast<size_t>(q.cache_key)];
-    if (e.t < 0.0) {
-      ++qp.serving.cache_misses;
-    } else if (now - e.t > qp.cache_validity) {
-      ++qp.serving.cache_expired;
-      ++qp.serving.cache_misses;
-    } else if (e.k >= q.k) {
-      ++qp.serving.cache_hits;
-      q.phase = QueryPhase::kDone;
-      RecordFinished(&q, now);
-      return;
-    } else {
-      ++qp.serving.cache_misses;
-    }
-  }
-  // 2. Coalesce onto a young in-flight leader in the same grid cell.
-  if (sp.coalesce_window > 0.0 && cacheable) {
-    for (uint32_t lid : qp.active) {
-      PsimQuery& leader = qp.queries[lid];
-      if (!CacheableClass(leader.cls)) continue;
-      if (leader.cache_key != q.cache_key) continue;
-      if (now - leader.admit_t > sp.coalesce_window) continue;
-      if (static_cast<int>(q.k) >
-          static_cast<int>(leader.k) + sp.coalesce_kslack) {
-        continue;
-      }
-      q.phase = QueryPhase::kFollower;
-      q.follower_next = leader.follower_next;
-      leader.follower_next = static_cast<int32_t>(id);
-      ++qp.serving.coalesced;
-      return;
-    }
-  }
-  // 3. Deadline-aware shedding; every 8th would-be shed launches as a
-  //    probe so the latency EWMA can recover after congestion clears.
-  if (sp.shed && spec.deadline > 0.0 && qp.ewma_latency > spec.deadline) {
-    if (++qp.shed_ticker % 8 != 0) {
-      ++qp.serving.shed;
-      ++qp.slo.rejected;
-      q.phase = QueryPhase::kDone;
-      return;
-    }
-    ++qp.serving.shed_probes;
-  }
-  // 4. Admission bound with a FIFO waiting room.
+  // QueryDriver::Admit: the admission bound and its FIFO waiting room
+  // come first; serving decides at launch.
   if (spec.max_inflight > 0 &&
       qp.inflight >= static_cast<uint32_t>(spec.max_inflight)) {
     if (static_cast<int>(qp.queue.size() - qp.queue_head) <
@@ -779,16 +663,41 @@ void PsimShard::AdmitArrival(uint32_t id, SimTime now) {
 void PsimShard::LaunchQuery(uint32_t id, SimTime now) {
   QueryPlaneState& qp = world_->query;
   PsimQuery& q = qp.queries[id];
-  q.phase = QueryPhase::kInflight;
-  q.admit_t = now;
-  ++qp.inflight;
-  if (qp.inflight > qp.slo.peak_inflight) {
-    qp.slo.peak_inflight = qp.inflight;
-  }
-  qp.active.push_back(id);
   const uint32_t sink = qp.config.sink;
   const PsimNode& snode = world_->nodes[sink];
   const Point pos = snode.mobility->PositionAt(now);
+  // QueryDriver::Launch: the front end only fronts point-KNN queries.
+  using Action = ServingFrontEnd::Decision::Action;
+  Action action = Action::kLaunch;
+  if (q.cls == QueryClass::kKnn) {
+    // Time left before the deadline; < 0 means the queue wait already ate
+    // the whole budget, exactly 0 encodes "no deadline" (see Route()).
+    const double deadline = qp.config.spec.deadline;
+    const double budget = deadline > 0.0 ? q.issue_t + deadline - now : 0.0;
+    action = qp.front_end
+                 ->Route(id, q.q, pos, static_cast<int>(q.cls), q.k, budget,
+                         now)
+                 .action;
+    if (action == Action::kShed) {
+      ++qp.slo.rejected;
+      q.phase = QueryPhase::kDone;
+      return;
+    }
+  }
+  ++qp.inflight;
+  qp.slo.peak_inflight = std::max<uint64_t>(qp.slo.peak_inflight, qp.inflight);
+  q.admit_t = now;
+  q.sink_pos = pos;
+  if (action == Action::kCacheHit) {
+    Resolve(id, now, /*timed_out=*/false);  // No channel traffic.
+    return;
+  }
+  if (action == Action::kFollower) {
+    q.phase = QueryPhase::kFollower;  // Resolves with its leader.
+    return;
+  }
+  q.phase = QueryPhase::kInflight;
+  qp.active.push_back(id);
   PsimQueryFrame g{};
   g.kind = QueryFrameKind::kRequest;
   g.query = id;
@@ -807,79 +716,60 @@ void PsimShard::LaunchQuery(uint32_t id, SimTime now) {
   SendQueryFrame(&g, sink, 1);
 }
 
-void PsimShard::ResolveFromReply(const PsimQueryFrame& f, SimTime now) {
+void PsimShard::ResolveLeader(uint32_t id, const PsimQueryFrame* reply,
+                              SimTime now) {
   QueryPlaneState& qp = world_->query;
-  PsimQuery& q = qp.queries[f.query];
-  if (q.phase != QueryPhase::kInflight) {
-    ++stats_.qp.late_replies;  // Timed out (or otherwise resolved) first.
-    return;
-  }
-  ++stats_.qp.replies;
-  q.phase = QueryPhase::kDone;
-  RecordFinished(&q, now);
-  const ServingParams sp = qp.config.spec.Serving();
-  if (sp.cache_ttl > 0.0 && CacheableClass(q.cls) && q.cache_key >= 0) {
-    QueryCacheEntry& e = qp.cache[static_cast<size_t>(q.cache_key)];
-    e.t = now;
-    e.k = q.k;
-    e.ncand = f.ncand;
-    e.cand = f.cand;
-    ++qp.serving.cache_insertions;
-  }
-  ResolveFollowers(&q, now, /*timed_out=*/false);
+  const PsimQuery& q = qp.queries[id];
+  const bool timed_out = reply == nullptr;
   for (size_t i = 0; i < qp.active.size(); ++i) {
-    if (qp.active[i] == f.query) {
+    if (qp.active[i] == id) {
       qp.active[i] = qp.active.back();
       qp.active.pop_back();
       break;
     }
   }
-  assert(qp.inflight > 0);
-  --qp.inflight;
-  DrainAdmissionQueue(now);
-}
-
-void PsimShard::RecordFinished(PsimQuery* q, SimTime now) {
-  QueryPlaneState& qp = world_->query;
-  const double latency = std::max(0.0, now - q->issue_t);
-  const double deadline = qp.config.spec.deadline;
-  if (deadline > 0.0 && latency > deadline) {
-    ++qp.slo.deadline_missed;
-  } else {
-    ++qp.slo.completed;
+  if (q.cls != QueryClass::kKnn) {
+    Resolve(id, now, timed_out);
+    return;
   }
-  qp.slo.latency.Add(latency);
-  qp.ewma_latency = qp.ewma_latency <= 0.0
-                        ? latency
-                        : 0.8 * qp.ewma_latency + 0.2 * latency;
-}
-
-void PsimShard::ResolveFollowers(PsimQuery* leader, SimTime now,
-                                 bool timed_out) {
-  QueryPlaneState& qp = world_->query;
-  for (int32_t i = leader->follower_next; i >= 0;) {
-    PsimQuery& fl = qp.queries[static_cast<size_t>(i)];
-    const int32_t next = fl.follower_next;
-    fl.phase = QueryPhase::kDone;
-    if (timed_out) {
-      ++qp.slo.timed_out;
-    } else {
-      ++qp.serving.fanned_out;
-      RecordFinished(&fl, now);
-    }
-    i = next;
+  // QueryDriver::ResolveKnnLeader's order: feed the front end first, so
+  // the cache entry it seeds and the leader slot it frees are visible to
+  // the queued queries Resolve() promotes; then fan out to the followers
+  // (a timed-out leader times them out too).
+  qp.answer.clear();
+  for (uint16_t i = 0; !timed_out && i < reply->ncand; ++i) {
+    const QueryCandidate& c = reply->cand[i];
+    qp.answer.push_back({static_cast<NodeId>(c.id), {c.x, c.y}, 0.0, now});
   }
-  leader->follower_next = -1;
+  // The follower list stays valid through the loop: promoted queries
+  // only Route(), and no reply can land before the next window.
+  const std::vector<QueryCoalescer::Follower>& followers =
+      qp.front_end->OnResolved(id, q.q, q.sink_pos, static_cast<int>(q.cls),
+                               q.k, qp.answer, now - q.admit_t, timed_out,
+                               now);
+  Resolve(id, now, timed_out);
+  for (const QueryCoalescer::Follower& f : followers) {
+    assert(qp.queries[f.ticket].phase == QueryPhase::kFollower);
+    Resolve(static_cast<uint32_t>(f.ticket), now, timed_out);
+  }
 }
 
-void PsimShard::TimeOutActive(size_t active_index, SimTime now) {
+void PsimShard::Resolve(uint32_t id, SimTime now, bool timed_out) {
   QueryPlaneState& qp = world_->query;
-  PsimQuery& q = qp.queries[qp.active[active_index]];
+  PsimQuery& q = qp.queries[id];
   q.phase = QueryPhase::kDone;
-  ++qp.slo.timed_out;
-  ResolveFollowers(&q, now, /*timed_out=*/true);
-  qp.active[active_index] = qp.active.back();
-  qp.active.pop_back();
+  if (timed_out) {
+    ++qp.slo.timed_out;
+  } else {
+    const double latency = std::max(0.0, now - q.issue_t);
+    const double deadline = qp.config.spec.deadline;
+    if (deadline > 0.0 && latency > deadline) {
+      ++qp.slo.deadline_missed;
+    } else {
+      ++qp.slo.completed;
+    }
+    qp.slo.latency.Add(latency);
+  }
   assert(qp.inflight > 0);
   --qp.inflight;
   DrainAdmissionQueue(now);

@@ -16,9 +16,8 @@
 // every query-plane traffic counter byte-equal across shard counts.
 //
 // Per-query state ownership is split by role, never shared:
-//   * sink-owned   — admission, serving (cache/coalesce/shed), outcome
-//                    accounting; touched only by the shard owning the
-//                    sink node at that window;
+//   * sink-owned   — admission, serving, outcome accounting; touched only
+//                    by the shard owning the sink node at that window;
 //   * home-owned   — sector merge state (SectorState of the serial
 //                    engine); touched only by the shard owning the
 //                    query's home node.
@@ -28,24 +27,33 @@
 // migration mailbox's release/acquire pair orders every prior state
 // write before the new owner's first read (docs/ENGINE.md).
 //
-// Modeling notes (documented divergences from the serial engine —
-// semantics are emulated, not byte-replicated): query packets ride an
-// overlay and do not contend with beacons on the channel (the per-hop
-// collection delay m models Q-node latency); per-hop losses are decided
-// by a stateless hash with receiver-side deterministic retries;
-// closed-loop arrivals are approximated by a fixed-rate stream of
-// `sessions` q/s; continuous queries run as single-round KNN; candidate
-// sets (and aggregate tallies) are capped at kMaxQueryCandidates.
+// The sink runs the serial engine's serving code: arrivals come from the
+// workload layer's QuerySampler (the same stream and draw order as
+// QueryDriver), and admission runs in QueryDriver's order — the inflight
+// bound and FIFO waiting room first, then, at launch, point-KNN queries
+// through the shared ServingFrontEnd (cache, coalescing, shedding), whose
+// OnResolved() sees every leader's reply or timeout. Queries still queued
+// at the horizon score as rejected, still in flight as timed out.
+//
+// Modeling notes (what still diverges from the serial engine): query
+// packets ride an overlay and do not contend with beacons on the channel
+// (the per-hop collection delay m models Q-node latency), with per-hop
+// losses decided by a stateless hash and receiver-side deterministic
+// retries; continuous queries run a single KNN round; candidate sets (and
+// aggregate tallies) are capped at kMaxQueryCandidates; and closed-loop
+// arrivals run as a fixed-rate stream of `sessions` q/s.
 
 #ifndef DIKNN_PSIM_QUERY_PLANE_H_
 #define DIKNN_PSIM_QUERY_PLANE_H_
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/geometry.h"
 #include "knn/diknn.h"
+#include "serving/front_end.h"
 #include "workload/latency_histogram.h"
 #include "workload/workload_spec.h"
 
@@ -103,7 +111,7 @@ enum class QueryPhase : uint8_t {
   kScheduled,  ///< Built into the arrival schedule; not yet admitted.
   kQueued,     ///< Waiting in the admission queue.
   kInflight,   ///< Launched on the network.
-  kFollower,   ///< Coalesced onto an in-flight leader.
+  kFollower,   ///< Coalesced onto an in-flight leader (ServingFrontEnd).
   kDone,       ///< Resolved (any outcome).
 };
 
@@ -120,9 +128,8 @@ struct PsimQuery {
   uint16_t k = 0;
   // Sink-owned.
   QueryPhase phase = QueryPhase::kScheduled;
-  SimTime admit_t = 0.0;
-  int32_t follower_next = -1;  ///< Intrusive coalescing chain.
-  int32_t cache_key = -1;      ///< Cache/coalesce grid cell of q.
+  SimTime admit_t = 0.0;  ///< Launch time.
+  Point sink_pos;         ///< Sink position at launch (serving's ring).
   // Home-owned.
   uint32_t home = kInvalidQueryNode;
   uint8_t sectors_total = 0;
@@ -183,21 +190,6 @@ struct QueryPlaneConfig {
   uint32_t sink = 0;       ///< Sink node id (queries enter/leave here).
   SimTime warmup = 0.0;    ///< Arrivals start here.
   SimTime horizon = 0.0;   ///< Arrivals stop here; 0 = run duration.
-  uint64_t seed_salt = 17; ///< Folded into the schedule stream.
-};
-
-/// One precomputed arrival (the schedule is sorted by t).
-struct QueryArrival {
-  SimTime t = 0.0;
-  uint32_t query = 0;
-};
-
-/// One slot of the sink-side result cache / coalescing grid.
-struct QueryCacheEntry {
-  SimTime t = -1.0e30;  ///< Insertion time; stale entries never match.
-  uint16_t k = 0;
-  uint16_t ncand = 0;
-  std::array<QueryCandidate, kMaxQueryCandidates> cand;
 };
 
 /// World-level query-plane state. Everything below the `sink-owned`
@@ -206,56 +198,42 @@ struct QueryCacheEntry {
 /// are touched only by the owner of the indexed node.
 struct QueryPlaneState {
   QueryPlaneConfig config;
-  double radio_range = 0.0;
   double step = 0.0;             ///< Q-node hop arc-length step.
   double itinerary_width = 0.0;
   uint32_t collection_windows = 1;  ///< Per-Q-node delay, in windows.
   float max_radius = 0.0f;       ///< For pre-warming itinerary scratch.
-  std::vector<PsimQuery> queries;
-  std::vector<QueryArrival> schedule;
+  std::vector<PsimQuery> queries;  ///< The arrival schedule, by issue_t.
   /// Per-node count of live query roles (home duties + the sink); a
   /// migrating node with a nonzero count carries query state with it.
   std::vector<uint32_t> roles;
 
   // --- Sink-owned from here on. ---
-  size_t next_arrival = 0;
+  size_t next_arrival = 0;  ///< First query not yet admitted.
+  /// In-flight count as QueryDriver keeps it: launched queries and
+  /// coalesced followers (a cache hit passes through it).
   uint32_t inflight = 0;
-  std::vector<uint32_t> active;  ///< In-flight query ids (timeout scan).
+  std::vector<uint32_t> active;  ///< Launched query ids (timeout scan).
   std::vector<uint32_t> queue;   ///< FIFO waiting room (ring).
   size_t queue_head = 0;
-  std::vector<QueryCacheEntry> cache;  ///< cache_nx * cache_ny slots.
-  int cache_nx = 1;
-  int cache_ny = 1;
-  double cache_cell_w = 1.0;
-  double cache_cell_h = 1.0;
-  double cache_validity = 0.0;   ///< min(ttl, r / mu_max).
-  double ewma_latency = 0.0;
-  uint64_t shed_ticker = 0;
+  /// The serving front end, fronting kKnn launches (engaged whenever the
+  /// plane is enabled; stages the spec leaves off do nothing).
+  std::optional<ServingFrontEnd> front_end;
+  std::vector<KnnCandidate> answer;  ///< A reply's candidates, for serving.
   SloReport slo;
-  ServingCounters serving;
-
-  /// Cache/coalesce grid cell of a query point; -1 when the grid is off.
-  int32_t CacheKeyOf(const Point& p) const {
-    if (cache.empty()) return -1;
-    int ix = static_cast<int>(p.x / cache_cell_w);
-    int iy = static_cast<int>(p.y / cache_cell_h);
-    ix = ix < 0 ? 0 : (ix >= cache_nx ? cache_nx - 1 : ix);
-    iy = iy < 0 ? 0 : (iy >= cache_ny ? cache_ny - 1 : iy);
-    return iy * cache_nx + ix;
-  }
 };
 
-/// Builds the arrival schedule and pre-sizes every sink-side container
-/// (single-threaded, before the shards are constructed). The stream is a
-/// pure function of (seed, salt, spec), independent of the shard count.
+/// Builds the arrival schedule, the serving front end, and pre-sizes
+/// every sink-side container (single-threaded, before the shards are
+/// constructed). The schedule is QueryDriver's stream for (seed, spec),
+/// independent of the shard count.
 void BuildQueryPlane(QueryPlaneState* qp, const Rect& field,
                      int node_count, double radio_range, double max_speed,
                      SimTime run_duration, uint64_t seed);
 
 /// Resolves everything still pending when the run's horizon passed —
-/// in-flight and queued queries (and their followers) time out — and
-/// seals the SloReport (duration, serving counters). Single-threaded,
-/// after the worker threads joined.
+/// queued queries are rejected, in-flight ones and their followers time
+/// out, as in QueryDriver — and seals the SloReport (duration, serving
+/// counters). Single-threaded, after the worker threads joined.
 void FinalizeQueryPlane(QueryPlaneState* qp);
 
 }  // namespace diknn

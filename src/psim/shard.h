@@ -406,14 +406,17 @@ class PsimShard {
   bool NextItineraryHop(const PsimQuery& query, int sector, uint32_t v,
                         const Point& pos, uint32_t prev, SimTime now,
                         float* progress, NeighborEntry* next);
-  // Sink duties (only the shard owning the sink node runs these).
+  // Sink duties (only the shard owning the sink node runs these), in
+  // QueryDriver's Admit / Launch / ResolveKnnLeader / Resolve order.
   void ProcessSink(uint64_t k, SimTime now);
   void AdmitArrival(uint32_t query, SimTime now);
   void LaunchQuery(uint32_t query, SimTime now);
-  void ResolveFromReply(const PsimQueryFrame& f, SimTime now);
-  void RecordFinished(PsimQuery* q, SimTime now);
-  void ResolveFollowers(PsimQuery* leader, SimTime now, bool timed_out);
-  void TimeOutActive(size_t active_index, SimTime now);
+  /// A launched query's reply landed, or (`reply` null) its timeout
+  /// expired: feeds serving and resolves the query and its followers.
+  void ResolveLeader(uint32_t query, const PsimQueryFrame* reply,
+                     SimTime now);
+  /// Scores one query, frees its inflight slot, drains the queue.
+  void Resolve(uint32_t query, SimTime now, bool timed_out);
   void DrainAdmissionQueue(SimTime now);
   Point SinkTargetPoint() const;
 

@@ -13,16 +13,18 @@
 // (issued == completed + missed + rejected + timed_out) always balances.
 //
 // The registry is plain deterministic bookkeeping: attach order is
-// arrival order, fan-out order is attach order.
+// arrival order, fan-out order is attach order. Leader slots and their
+// follower lists are recycled in place, so once the registry has reached
+// its high-water size attaching and resolving never allocate.
 
 #ifndef DIKNN_SERVING_COALESCER_H_
 #define DIKNN_SERVING_COALESCER_H_
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "core/flat_map.h"
 #include "sim/event_queue.h"
 
 namespace diknn {
@@ -54,15 +56,14 @@ class QueryCoalescer {
 
   /// The leader resolved (completed, timed out, or died): unregisters it
   /// and returns its followers in attach order. Safe to call for tickets
-  /// that never led (returns empty).
-  std::vector<Follower> OnLeaderResolved(uint64_t ticket);
-
-  /// In-flight leaders currently accepting followers.
-  size_t active_leaders() const { return by_key_.size(); }
+  /// that never led (returns empty). The list is a reusable buffer, valid
+  /// until the next call.
+  const std::vector<Follower>& OnLeaderResolved(uint64_t ticket);
 
  private:
   struct Leader {
     uint64_t ticket = 0;
+    uint64_t key = 0;  ///< So completion can clear by_key_ without a scan.
     int k = 0;
     SimTime launched_at = 0.0;
     std::vector<Follower> followers;
@@ -70,13 +71,15 @@ class QueryCoalescer {
 
   double window_;
   int kslack_;
-  /// Every in-flight leader by ticket (including replaced leaders, which
-  /// keep their followers until they resolve).
-  std::unordered_map<uint64_t, Leader> by_ticket_;
+  /// Leader slots; a resolved leader's slot goes on `free_slots_`.
+  std::vector<Leader> leaders_;
+  std::vector<uint32_t> free_slots_;
+  /// Every in-flight leader's slot by ticket (including replaced leaders,
+  /// which keep their followers until they resolve).
+  FlatMap<uint64_t, uint32_t> by_ticket_;
   /// The current attach target per (cell, class) key.
-  std::unordered_map<uint64_t, uint64_t> by_key_;
-  /// Leader ticket -> key, so completion can clear by_key_ without a scan.
-  std::unordered_map<uint64_t, uint64_t> leader_key_;
+  FlatMap<uint64_t, uint64_t> by_key_;
+  std::vector<Follower> resolved_;  ///< OnLeaderResolved's answer.
 };
 
 }  // namespace diknn

@@ -5,20 +5,6 @@
 
 namespace diknn {
 
-const char* ServingPathName(ServingPath path) {
-  switch (path) {
-    case ServingPath::kDirect:
-      return "direct";
-    case ServingPath::kCacheHit:
-      return "cache_hit";
-    case ServingPath::kFollower:
-      return "follower";
-    case ServingPath::kShed:
-      return "shed";
-  }
-  return "?";
-}
-
 ServingFrontEnd::ServingFrontEnd(const ServingParams& params,
                                  const Rect& field, double max_speed,
                                  double radio_range)
@@ -44,16 +30,16 @@ ServingFrontEnd::Decision ServingFrontEnd::Route(uint64_t ticket,
                                                  double budget, SimTime now) {
   Decision decision;
   const int32_t cell = cache_.CellOf(q);
-  const uint64_t key = KeyOf(cell, cls);
+  const uint64_t key = ResultCache::Key(cell, cls);
 
   // Stage 1: the cache answers for free, so it is always checked first.
   if (params_.cache_ttl > 0.0) {
     bool expired = false;
-    auto hit = cache_.Lookup(cell, cls, k, q, now, &expired);
+    const auto hit = cache_.Lookup(cell, cls, k, q, now, &expired);
     if (hit.has_value()) {
       ++counters_.cache_hits;
       decision.action = Decision::Action::kCacheHit;
-      decision.candidates = std::move(*hit);
+      decision.candidates = *hit;
       return decision;
     }
     ++counters_.cache_misses;
@@ -100,7 +86,7 @@ ServingFrontEnd::Decision ServingFrontEnd::Route(uint64_t ticket,
   return decision;
 }
 
-std::vector<QueryCoalescer::Follower> ServingFrontEnd::OnResolved(
+const std::vector<QueryCoalescer::Follower>& ServingFrontEnd::OnResolved(
     uint64_t ticket, const Point& q, const Point& sink_pos, int cls, int k,
     const std::vector<KnnCandidate>& candidates, double protocol_latency,
     bool timed_out, SimTime now) {
@@ -109,16 +95,9 @@ std::vector<QueryCoalescer::Follower> ServingFrontEnd::OnResolved(
     cache_.Insert(cache_.CellOf(q), cls, k, candidates, now);
     ++counters_.cache_insertions;
   }
-  auto followers = coalescer_.OnLeaderResolved(ticket);
+  const auto& followers = coalescer_.OnLeaderResolved(ticket);
   counters_.fanned_out += followers.size();
   return followers;
-}
-
-std::vector<KnnCandidate> ServingFrontEnd::TruncateFor(
-    const std::vector<KnnCandidate>& superset, const Point& q, int k) {
-  std::vector<KnnCandidate> out = superset;
-  PruneCandidates(&out, q, static_cast<size_t>(std::max(k, 0)));
-  return out;
 }
 
 }  // namespace diknn

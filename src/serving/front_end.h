@@ -12,17 +12,21 @@
 //      completion time (per-cell-ring EWMA of observed latencies)
 //      already exceeds their deadline, instead of burning airtime.
 //
-// The front end is pure bookkeeping over the simulator's deterministic
-// event order: it never draws randomness, schedules events, or touches
-// the network, so any run through it is bit-identical at any --jobs
-// count, traced or untraced. The driver remains responsible for SLO
-// accounting and for actually launching / resolving queries; Route() and
-// OnResolved() just tell it what to do.
+// The front end is pure bookkeeping over the engine's deterministic event
+// order: it never draws randomness, schedules events, or touches the
+// network, so any run through it is bit-identical at any --jobs count,
+// traced or untraced. Both engines drive it — the serial QueryDriver and
+// the sharded engine's sink — and remain responsible for SLO accounting
+// and for actually launching / resolving queries; Route() and
+// OnResolved() just tell them what to do. Steady state is allocation-free
+// (flat tables, entries and follower lists recycled in place, answers in
+// reusable buffers), so the sharded engine's allocation gate covers it.
 
 #ifndef DIKNN_SERVING_FRONT_END_H_
 #define DIKNN_SERVING_FRONT_END_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/geometry.h"
@@ -50,9 +54,11 @@ class ServingFrontEnd {
       kShed,      ///< Reject now; predicted completion misses the deadline.
     };
     Action action = Action::kLaunch;
-    std::vector<KnnCandidate> candidates;  ///< kCacheHit only.
-    uint64_t leader = 0;                   ///< kFollower only.
-    double estimate = 0.0;                 ///< kShed: predicted latency (s).
+    /// kCacheHit only: views the cache's answer buffer, valid until the
+    /// next Route().
+    std::span<const KnnCandidate> candidates;
+    uint64_t leader = 0;    ///< kFollower only.
+    double estimate = 0.0;  ///< kShed: predicted latency (s).
   };
 
   /// Routes query `ticket` (point `q`, issued at a sink currently at
@@ -66,33 +72,19 @@ class ServingFrontEnd {
 
   /// A protocol-launched query resolved. Feeds the completion predictor,
   /// seeds the cache (successful completions only), and returns the
-  /// followers to fan the answer out to, in attach order.
-  std::vector<QueryCoalescer::Follower> OnResolved(
+  /// followers to fan the answer out to, in attach order (a reusable
+  /// buffer, valid until the next OnResolved()).
+  const std::vector<QueryCoalescer::Follower>& OnResolved(
       uint64_t ticket, const Point& q, const Point& sink_pos, int cls, int k,
       const std::vector<KnnCandidate>& candidates, double protocol_latency,
       bool timed_out, SimTime now);
 
-  /// Re-prunes a leader's (or cached) superset around one follower's own
-  /// query point, truncated to its k.
-  static std::vector<KnnCandidate> TruncateFor(
-      const std::vector<KnnCandidate>& superset, const Point& q, int k);
-
-  const ServingParams& params() const { return params_; }
   const ServingCounters& counters() const { return counters_; }
-  const ResultCache& cache() const { return cache_; }
-  const QueryCoalescer& coalescer() const { return coalescer_; }
-  const CompletionPredictor& predictor() const { return predictor_; }
 
   /// Chebyshev cell distance between `q`'s cell and the sink's cell.
   int RingOf(const Point& q, const Point& sink_pos) const;
 
  private:
-  /// Coalesce/cache key: cell in the high bits, class in the low byte.
-  static uint64_t KeyOf(int32_t cell, int cls) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(cell)) << 8) |
-           static_cast<uint64_t>(cls & 0xff);
-  }
-
   ServingParams params_;
   ResultCache cache_;
   QueryCoalescer coalescer_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 namespace diknn {
 
@@ -26,34 +25,35 @@ int32_t ResultCache::CellOf(const Point& p) const {
   return cy * cells_ + cx;
 }
 
-std::optional<std::vector<KnnCandidate>> ResultCache::Lookup(
+std::optional<std::span<const KnnCandidate>> ResultCache::Lookup(
     int32_t cell, int cls, int k, const Point& q, SimTime now,
     bool* expired_out) {
   if (expired_out != nullptr) *expired_out = false;
-  const auto it = entries_.find(Key(cell, cls));
-  if (it == entries_.end()) return std::nullopt;
-  const Entry& entry = it->second;
+  Entry* entry = entries_.find(Key(cell, cls));
+  if (entry == nullptr || !entry->live) return std::nullopt;
   // Exact expiry: valid strictly before inserted_at + T, expired at it.
-  if (!(now - entry.inserted_at < ttl_)) {
+  if (!(now - entry->inserted_at < ttl_)) {
     if (expired_out != nullptr) *expired_out = true;
-    entries_.erase(it);
+    entry->live = false;
     return std::nullopt;
   }
-  if (entry.k < k) return std::nullopt;  // Not a superset of this ask.
-  std::vector<KnnCandidate> answer = entry.candidates;
-  PruneCandidates(&answer, q, static_cast<size_t>(k));
-  return answer;
+  if (entry->k < k) return std::nullopt;  // Not a superset of this ask.
+  AssignRetained(&answer_, entry->candidates);
+  PruneCandidates(&answer_, q, static_cast<size_t>(k));
+  return std::span<const KnnCandidate>(answer_);
 }
 
 void ResultCache::Insert(int32_t cell, int cls, int k,
-                         std::vector<KnnCandidate> candidates, SimTime now) {
-  const uint64_t key = Key(cell, cls);
-  const auto it = entries_.find(key);
-  if (it != entries_.end() && it->second.k > k &&
-      now - it->second.inserted_at < ttl_) {
+                         const std::vector<KnnCandidate>& candidates,
+                         SimTime now) {
+  Entry& entry = entries_[Key(cell, cls)];
+  if (entry.live && entry.k > k && now - entry.inserted_at < ttl_) {
     return;  // The resident superset serves strictly more lookups.
   }
-  entries_[key] = Entry{k, std::move(candidates), now};
+  entry.k = k;
+  entry.live = true;
+  entry.inserted_at = now;
+  AssignRetained(&entry.candidates, candidates);
 }
 
 }  // namespace diknn

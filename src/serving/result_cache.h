@@ -17,16 +17,20 @@
 // insertion time + T (or later) misses; any earlier lookup hits.
 //
 // Everything is plain deterministic data — no clocks, no RNG — so cached
-// runs are bit-identical at any harness --jobs count.
+// runs are bit-identical at any harness --jobs count. Entries are
+// overwritten in place and hits are re-pruned into one reusable answer
+// buffer, so once every key's entry has reached its high-water size the
+// cache never allocates (the sharded engine's steady-state gate).
 
 #ifndef DIKNN_SERVING_RESULT_CACHE_H_
 #define DIKNN_SERVING_RESULT_CACHE_H_
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
+#include "core/flat_map.h"
 #include "core/geometry.h"
 #include "knn/query.h"
 
@@ -47,47 +51,46 @@ class ResultCache {
   /// Cache-grid cell index of `p` (row-major, clamped into the field).
   int32_t CellOf(const Point& p) const;
 
-  /// Cell edge lengths (m), for tests and diagnostics.
-  double cell_width() const { return cell_w_; }
-  double cell_height() const { return cell_h_; }
-
   /// Returns the cached answer for (`cell`, `cls`) re-pruned to the k
   /// nearest around `q`, when an entry with stored k >= `k` is still
-  /// valid at `now`; std::nullopt on a miss. `expired_out`, when
-  /// non-null, is set when the miss was caused by expiry (an entry
+  /// valid at `now`; std::nullopt on a miss. The answer views the cache's
+  /// reusable buffer and stays valid until the next Lookup. `expired_out`,
+  /// when non-null, is set when the miss was caused by expiry (an entry
   /// existed but aged out).
-  std::optional<std::vector<KnnCandidate>> Lookup(int32_t cell, int cls,
-                                                  int k, const Point& q,
-                                                  SimTime now,
-                                                  bool* expired_out = nullptr);
+  std::optional<std::span<const KnnCandidate>> Lookup(
+      int32_t cell, int cls, int k, const Point& q, SimTime now,
+      bool* expired_out = nullptr);
 
   /// Seeds (`cell`, `cls`) with a completed answer. A still-valid entry
   /// holding a strictly larger k is kept (it serves a superset of the
   /// lookups this one could); anything else is overwritten.
   void Insert(int32_t cell, int cls, int k,
-              std::vector<KnnCandidate> candidates, SimTime now);
+              const std::vector<KnnCandidate>& candidates, SimTime now);
 
-  /// Live entries (expired entries count until overwritten).
-  size_t size() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    int k = 0;
-    std::vector<KnnCandidate> candidates;
-    SimTime inserted_at = 0.0;
-  };
-
+  /// Cache (and coalesce) key: cell in the high bits, class in the low
+  /// byte.
   static uint64_t Key(int32_t cell, int cls) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(cell)) << 8) |
            static_cast<uint64_t>(cls & 0xff);
   }
+
+ private:
+  /// An expired entry is marked dead rather than erased, so its
+  /// candidate buffer keeps its capacity for the key's next insert.
+  struct Entry {
+    int k = 0;
+    bool live = false;
+    SimTime inserted_at = 0.0;
+    std::vector<KnnCandidate> candidates;
+  };
 
   double ttl_;
   Rect field_;
   int cells_;
   double cell_w_;
   double cell_h_;
-  std::unordered_map<uint64_t, Entry> entries_;
+  FlatMap<uint64_t, Entry> entries_;
+  std::vector<KnnCandidate> answer_;  ///< Lookup's re-pruned hit.
 };
 
 }  // namespace diknn

@@ -45,8 +45,6 @@ enum class ServingPath : uint8_t {
   kShed,        ///< Dropped by deadline-aware admission; never launched.
 };
 
-const char* ServingPathName(ServingPath path);
-
 /// Per-run serving counters. Merged across runs by addition (integers),
 /// so aggregates are bit-identical at any harness --jobs count.
 struct ServingCounters {

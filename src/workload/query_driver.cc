@@ -32,8 +32,8 @@ QueryDriver::QueryDriver(Network* network, GpsrRouting* gpsr,
       gpsr_(gpsr),
       protocol_(protocol),
       spec_(spec),
-      rng_(seed),
-      sink_(sink) {
+      sampler_(spec, network->config().field, network->config().node_count,
+               seed, sink) {
   const auto weight = [&](QueryClass c) {
     return spec_.mix[static_cast<int>(c)];
   };
@@ -65,14 +65,6 @@ QueryDriver::QueryDriver(Network* network, GpsrRouting* gpsr,
         serving_params, network_->config().field, max_speed,
         network_->config().radio_range_m);
   }
-  if (spec_.spatial == SpatialKind::kHotspot) {
-    double cum = 0.0;
-    for (int i = 0; i < spec_.hotspots; ++i) {
-      hotspot_centers_.push_back(rng_.PointInRect(network_->config().field));
-      cum += std::pow(i + 1.0, -spec_.hotspot_skew);
-      hotspot_cumweight_.push_back(cum);
-    }
-  }
 }
 
 double QueryDriver::MeanPreAccuracy() const {
@@ -99,22 +91,6 @@ double QueryDriver::MeanPostAccuracy() const {
   return n == 0 ? 0.0 : sum / n;
 }
 
-Point QueryDriver::DrawQueryPoint() {
-  const Rect& field = network_->config().field;
-  if (spec_.spatial == SpatialKind::kUniform || hotspot_centers_.empty()) {
-    return rng_.PointInRect(field);
-  }
-  const double u = rng_.NextDouble() * hotspot_cumweight_.back();
-  size_t idx = 0;
-  while (idx + 1 < hotspot_cumweight_.size() && hotspot_cumweight_[idx] < u) {
-    ++idx;
-  }
-  const Point center = hotspot_centers_[idx];
-  const Point p{center.x + rng_.Normal(0.0, spec_.hotspot_sigma),
-                center.y + rng_.Normal(0.0, spec_.hotspot_sigma)};
-  return field.Clamp(p);
-}
-
 Rect QueryDriver::QueryRect(const Point& center, double side) const {
   const Rect& field = network_->config().field;
   const double h = side / 2.0;
@@ -134,25 +110,9 @@ double QueryDriver::BoundaryRadius(int k) const {
 
 QueryDriver::Prepared QueryDriver::Draw() {
   Prepared prep;
+  static_cast<SampledQuery&>(prep) = sampler_.Next();
   prep.id = next_id_++;
   prep.arrived_at = network_->sim().Now();
-
-  const double u = rng_.NextDouble() * spec_.TotalWeight();
-  double cum = 0.0;
-  int cls = 0;
-  for (; cls < kNumQueryClasses; ++cls) {
-    cum += spec_.mix[cls];
-    if (u < cum && spec_.mix[cls] > 0.0) break;
-  }
-  prep.cls = static_cast<QueryClass>(std::min(cls, kNumQueryClasses - 1));
-
-  prep.sink = sink_ != kInvalidNodeId
-                  ? sink_
-                  : static_cast<NodeId>(rng_.UniformInt(
-                        0, network_->config().node_count - 1));
-  prep.q = DrawQueryPoint();
-  prep.k = spec_.k_lo == spec_.k_hi ? spec_.k_lo
-                                    : rng_.UniformInt(spec_.k_lo, spec_.k_hi);
   return prep;
 }
 
@@ -346,8 +306,8 @@ void QueryDriver::ResolveKnnLeader(uint64_t id, const KnnResult& result) {
   for (const QueryCoalescer::Follower& f : followers) {
     const auto fit = inflight_.find(f.ticket);
     if (fit == inflight_.end()) continue;  // Already finalized.
-    const std::vector<KnnCandidate> pruned =
-        ServingFrontEnd::TruncateFor(result.candidates, fit->second.q, f.k);
+    std::vector<KnnCandidate> pruned = result.candidates;
+    PruneCandidates(&pruned, fit->second.q, static_cast<size_t>(f.k));
     std::vector<NodeId> ids;
     ids.reserve(pruned.size());
     for (const KnnCandidate& c : pruned) ids.push_back(c.id);
@@ -419,10 +379,7 @@ void QueryDriver::Resolve(uint64_t id, double protocol_latency,
 }
 
 void QueryDriver::ScheduleNextArrival() {
-  const double interval = spec_.arrival == ArrivalKind::kPoisson
-                              ? rng_.Exponential(1.0 / spec_.rate)
-                              : 1.0 / spec_.rate;
-  const SimTime t = network_->sim().Now() + interval;
+  const SimTime t = network_->sim().Now() + sampler_.NextInterval();
   if (t >= end_time_) return;
   network_->sim().ScheduleAt(t, [this] {
     Admit(Draw());

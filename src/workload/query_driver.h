@@ -36,7 +36,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/rng.h"
 #include "knn/aggregate.h"
 #include "knn/continuous.h"
 #include "knn/query.h"
@@ -46,6 +45,7 @@
 #include "routing/gpsr.h"
 #include "serving/front_end.h"
 #include "workload/latency_histogram.h"
+#include "workload/query_sampler.h"
 #include "workload/workload_spec.h"
 
 namespace diknn {
@@ -119,12 +119,8 @@ class QueryDriver {
 
  private:
   /// A drawn-but-not-yet-launched query.
-  struct Prepared {
+  struct Prepared : SampledQuery {
     uint64_t id = 0;
-    QueryClass cls = QueryClass::kKnn;
-    NodeId sink = kInvalidNodeId;
-    Point q;
-    int k = 1;
     SimTime arrived_at = 0.0;
     TraceContext trace;      ///< Root context; unsampled when not traced.
     SpanId queue_span = 0;   ///< Open kQueue span while waiting.
@@ -145,7 +141,6 @@ class QueryDriver {
   };
 
   Prepared Draw();
-  Point DrawQueryPoint();
   Rect QueryRect(const Point& center, double side) const;
   double BoundaryRadius(int k) const;
 
@@ -167,8 +162,7 @@ class QueryDriver {
   GpsrRouting* gpsr_;
   KnnProtocol* protocol_;
   WorkloadSpec spec_;
-  Rng rng_;
-  NodeId sink_;
+  QuerySampler sampler_;
   bool score_accuracy_ = true;
   Tracer* tracer_ = nullptr;
 
@@ -178,9 +172,6 @@ class QueryDriver {
   std::unique_ptr<ItineraryAggregateQuery> aggregate_;
   std::unique_ptr<ContinuousKnn> continuous_;
   std::unique_ptr<ServingFrontEnd> serving_;
-
-  std::vector<Point> hotspot_centers_;
-  std::vector<double> hotspot_cumweight_;
 
   SimTime end_time_ = 0.0;   ///< Arrivals stop here.
   bool finalized_ = false;

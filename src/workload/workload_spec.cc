@@ -1,5 +1,6 @@
 #include "workload/workload_spec.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <unordered_map>
@@ -21,10 +22,12 @@ std::vector<std::string> Split(const std::string& s, char sep) {
   return out;
 }
 
+/// Finite numbers only: NaN would slip past every range check below.
 bool ParseDouble(const std::string& s, double* out) {
   char* end = nullptr;
   *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0' && end != s.c_str();
+  return end != nullptr && *end == '\0' && end != s.c_str() &&
+         std::isfinite(*out);
 }
 
 bool ParseInt(const std::string& s, int* out) {

@@ -155,6 +155,14 @@ TEST(WorkloadSpecTest, RejectsMalformedSpecs) {
       "timeseries@interval=-1",
       "timeseries@interval=1,capacity=-2",
       "timeseries@capacity=16",
+      // Non-finite numbers pass no range check, so they never parse.
+      "arrival@kind=poisson,rate=nan",
+      "arrival@kind=poisson,rate=inf",
+      "arrival@kind=closed,sessions=2,think=-inf",
+      "trace@rate=nan",
+      "deadline@s=nan",
+      "deadline@s=inf",
+      "cache@ttl=inf",
   };
   for (const char* s : bad) {
     std::string error;

@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
 # The whole pre-merge gauntlet in one command: release build + full test
 # suite, the ASan/UBSan and TSan presets, smoke passes of the workload,
-# event-engine, observability, and micro benches (seconds-long
-# DIKNN_WORKLOAD_SMOKE / DIKNN_ENGINE_SMOKE / DIKNN_OBS_SMOKE /
-# DIKNN_MICRO_SMOKE runs, so the bench binaries themselves are exercised;
-# bench_micro's steady-state allocation gate runs at full strength even
-# in smoke mode; DIKNN_CHECK_BENCH=0 skips them), and a traced-query run
+# event-engine, observability, micro, pdes and channel benches
+# (seconds-long DIKNN_WORKLOAD_SMOKE / DIKNN_ENGINE_SMOKE /
+# DIKNN_OBS_SMOKE / DIKNN_MICRO_SMOKE / DIKNN_PDES_SMOKE runs and a
+# 2000-frame bench_channel, so the bench binaries themselves are
+# exercised; bench_micro's steady-state allocation gate runs at full
+# strength even in smoke mode, and bench_channel fails if the grid and
+# brute-force traffic counters diverge; DIKNN_CHECK_BENCH=0 skips them).
+# The smokes run in a temporary directory: a bench writes
+# BENCH_<name>.json to its working directory, and the committed records
+# at the repository root are full-mode runs. Then a traced-query run
 # whose Chrome-trace and metrics JSON are validated with python3 — the
 # metrics must report zero steady-state packet-plane allocations
 # (net.allocs == 0, net.alloc_per_frame == 0; see docs/PACKET_PLANE.md),
@@ -16,6 +21,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+bench="$PWD/build/bench"
 
 echo "== release build + ctest =="
 cmake --preset release
@@ -28,24 +34,30 @@ scripts/check_asan.sh --output-on-failure
 echo "== TSan =="
 scripts/check_tsan.sh --output-on-failure
 
+obs_dir="$(mktemp -d)"
+trap 'rm -rf "$obs_dir"' EXIT
+
 if [[ "${DIKNN_CHECK_BENCH:-1}" != "0" ]]; then
-  echo "== bench_workload smoke =="
-  DIKNN_WORKLOAD_SMOKE=1 ./build/bench/bench_workload
-  echo "== bench_engine smoke =="
-  DIKNN_ENGINE_SMOKE=1 ./build/bench/bench_engine
-  echo "== bench_obs smoke =="
-  DIKNN_OBS_SMOKE=1 ./build/bench/bench_obs
-  echo "== bench_micro smoke (allocation gate) =="
-  DIKNN_MICRO_SMOKE=1 ./build/bench/bench_micro
-  echo "== bench_pdes smoke (shard equivalence) =="
-  DIKNN_PDES_SMOKE=1 ./build/bench/bench_pdes
-  echo "== bench_pdes query smoke (served workload across shards) =="
-  DIKNN_PDES_QUERY_SMOKE=1 ./build/bench/bench_pdes
+  (
+    cd "$obs_dir"
+    echo "== bench_workload smoke =="
+    DIKNN_WORKLOAD_SMOKE=1 "$bench/bench_workload"
+    echo "== bench_engine smoke =="
+    DIKNN_ENGINE_SMOKE=1 "$bench/bench_engine"
+    echo "== bench_obs smoke =="
+    DIKNN_OBS_SMOKE=1 "$bench/bench_obs"
+    echo "== bench_micro smoke (allocation gate) =="
+    DIKNN_MICRO_SMOKE=1 "$bench/bench_micro"
+    echo "== bench_pdes smoke (shard equivalence) =="
+    DIKNN_PDES_SMOKE=1 "$bench/bench_pdes"
+    echo "== bench_pdes query smoke (served workload across shards) =="
+    DIKNN_PDES_QUERY_SMOKE=1 "$bench/bench_pdes"
+    echo "== bench_channel smoke (grid vs brute-force equivalence) =="
+    DIKNN_BENCH_FRAMES=2000 DIKNN_BENCH_SIZES=250,1000 "$bench/bench_channel"
+  )
 fi
 
 echo "== traced-query smoke =="
-obs_dir="$(mktemp -d)"
-trap 'rm -rf "$obs_dir"' EXIT
 ./build/tools/diknn-sim --runs 1 --duration 20 --nodes 120 --field 90 \
   --trace-out "$obs_dir/trace.json" --metrics-out "$obs_dir/metrics.json"
 if command -v python3 >/dev/null; then

@@ -2,9 +2,9 @@
 //
 // std::deque allocates and frees ~512-byte blocks as elements stream
 // through it, which shows up as steady-state churn on the packet plane's
-// allocation counters (the MAC outbound queue and duplicate-suppression
-// FIFO drain one entry per frame). RingBuffer keeps one flat buffer that
-// grows geometrically and is then reused forever.
+// allocation counters (the MAC outbound queue drains one entry per
+// frame). RingBuffer keeps one flat buffer that grows geometrically and
+// is then reused forever.
 
 #ifndef DIKNN_CORE_RING_BUFFER_H_
 #define DIKNN_CORE_RING_BUFFER_H_

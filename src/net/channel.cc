@@ -34,12 +34,10 @@ void Channel::PlaceNode(Node* node, const Point& position) {
   if (old_index == index) return;  // Common case: same cell.
   if (old_index >= 0) {
     auto& old_cell = node_cells_[old_index];
-    old_cell.erase(std::find_if(
-        old_cell.begin(), old_cell.end(),
-        [node](const auto& entry) { return entry.second == node; }));
+    old_cell.erase(std::find(old_cell.begin(), old_cell.end(), node));
   }
   node_cell_of_[slot] = index;
-  node_cells_[index].emplace_back(node->id(), node);
+  node_cells_[index].push_back(node);
 }
 
 void Channel::RebucketNode(Node* node, const Point& position) {
@@ -121,7 +119,6 @@ void Channel::PeriodicSweep() {
 }
 
 void Channel::GatherCandidates(const Point& origin) const {
-  AllocScopePause capacity;  // Scratch high-water growth only.
   scratch_.clear();
   const CellCoord c = CellCoordOf(origin);
   const int32_t x0 = std::max(c.cx - 1, 0);
@@ -134,12 +131,6 @@ void Channel::GatherCandidates(const Point& origin) const {
       scratch_.insert(scratch_.end(), cell.begin(), cell.end());
     }
   }
-  // Ascending node-id order: matches the brute-force scan (nodes attach
-  // in id order), so the per-receiver RNG draws below happen in the same
-  // sequence and outcomes stay bit-identical. Ids are carried in the
-  // cell entries so the sort never dereferences a Node.
-  std::sort(scratch_.begin(), scratch_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
 bool Channel::IsBusyAt(const Point& pos) const {
@@ -222,7 +213,6 @@ void Channel::Transmit(Node* sender, const Packet& packet) {
     });
   }
   if (fault.drop) return;  // On the air but heard by nobody.
-  if (params_.use_spatial_grid) GatherCandidates(origin);
 
   // All of a frame's receptions complete at the same instant, so they are
   // delivered by one batched event whose only captured state is the
@@ -233,26 +223,39 @@ void Channel::Transmit(Node* sender, const Packet& packet) {
   const FrameHandle handle = frames_.Acquire();
   InFlightFrame* frame = frames_.Get(handle);
   frame->packet = packet;
-
-  const double range2 = params_.radio_range_m * params_.radio_range_m;
-  const auto scan = [&](const auto& candidates, auto node_of) {
-    // Everything the scan appends lives in recycled storage — the slot's
-    // flags/batch vectors and the per-receiver reception lanes — so any
-    // allocation here is high-water capacity growth, not per-frame churn.
+  {
+    // Everything below appends to recycled storage — the receiver list,
+    // the slot's flags/batch vectors and the per-receiver reception lanes
+    // — so any allocation here is high-water capacity growth, not
+    // per-frame churn.
     AllocScopePause capacity;
-    for (const auto& candidate : candidates) {
+
+    // Audible receivers first. Every candidate is range-checked and
+    // counted; only the survivors are sorted by id, before any
+    // per-receiver work or RNG draw, so grid and brute-force runs stay
+    // bit-identical. The grid's candidates are copied out of their cells
+    // first: Position() can start a movement leg, which re-buckets the
+    // node.
+    const double range2 = params_.radio_range_m * params_.radio_range_m;
+    receivers_.clear();
+    if (params_.use_spatial_grid) GatherCandidates(origin);
+    for (Node* receiver : params_.use_spatial_grid ? scratch_ : nodes_) {
       ++stats_.candidates_scanned;
-      Node* receiver = node_of(candidate);
       if (receiver == sender || !receiver->alive()) continue;
       if (SquaredDistance(receiver->Position(), origin) > range2) continue;
+      receivers_.emplace_back(receiver->id(), receiver);
+    }
+    std::sort(receivers_.begin(), receivers_.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
 
+    for (const auto& [id, receiver] : receivers_) {
       ++stats_.receptions_attempted;
 
       // Collision check: any reception still in progress at this
       // receiver overlaps the new frame, corrupting both.
       const uint32_t index = static_cast<uint32_t>(frame->flags.size());
       frame->flags.push_back(0);
-      const size_t slot = static_cast<size_t>(receiver->id());
+      const size_t slot = static_cast<size_t>(id);
       if (slot >= active_receptions_.size()) {
         active_receptions_.resize(slot + 1);
       }
@@ -274,12 +277,6 @@ void Channel::Transmit(Node* sender, const Packet& packet) {
       const bool randomly_lost = rng_.Bernoulli(params_.loss_rate);
       frame->batch.push_back(Delivery{receiver, randomly_lost});
     }
-  };
-
-  if (params_.use_spatial_grid) {
-    scan(scratch_, [](const auto& entry) { return entry.second; });
-  } else {
-    scan(nodes_, [](Node* n) { return n; });
   }
   if (frame->batch.empty()) {
     frames_.Release(handle);

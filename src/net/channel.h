@@ -16,9 +16,16 @@
 // (max node speed x refresh interval), which makes a 3x3 cell
 // neighborhood a conservative superset of every node within radio range
 // even though bucketed positions lag true (kinematic) positions by up to
-// one refresh interval. Candidates are processed in ascending node-id
-// order before any channel RNG draw, so grid-indexed runs are
-// bit-identical to the brute-force scan (`use_spatial_grid = false`).
+// one refresh interval.
+//
+// Receiver order contract: every candidate a source yields (the grid's
+// 3x3 cells, or all attached nodes for the brute-force scan) is counted
+// in `candidates_scanned` and range-checked; the audible receivers that
+// survive are sorted by ascending node id before any per-receiver work
+// (collision bookkeeping, the loss RNG draw, the delivery batch). So
+// grid-indexed runs are bit-identical to the brute-force scan
+// (`use_spatial_grid = false`), and only the ~1/3 of candidates that
+// are audible pay for the sort.
 
 #ifndef DIKNN_NET_CHANNEL_H_
 #define DIKNN_NET_CHANNEL_H_
@@ -290,8 +297,8 @@ class Channel {
   // is not yet bucketed).
   void PlaceNode(Node* node, const Point& position);
 
-  // Collects the 3x3 cell neighborhood around `origin` into `scratch_`,
-  // sorted by ascending node id.
+  // Copies the 3x3 cell neighborhood around `origin` into `scratch_`, in
+  // cell order. Called under Transmit's AllocScopePause.
   void GatherCandidates(const Point& origin) const;
 
   // Erases entries in `active_receptions_` whose receptions all ended.
@@ -318,9 +325,7 @@ class Channel {
   // Spatial grid state: a flat row-major array of grid_nx_ x grid_ny_
   // cells fitted to the fleet's bounding box at rebuild time. Flat
   // indexing keeps the per-frame 3x3 probes at array-dereference cost
-  // (no hashing on the hot path). Cells store (id, node) pairs so
-  // candidate sorting compares contiguous ints instead of chasing Node
-  // pointers. Mutable: IsBusyAt is logically const.
+  // (no hashing on the hot path). Mutable: IsBusyAt is logically const.
   bool grid_dirty_ = true;        // Attach happened; rebuild on next sweep.
   double cell_size_ = 0.0;        // radio_range + drift margin.
   SimTime next_sweep_ = 0.0;      // Next periodic refresh deadline.
@@ -328,13 +333,16 @@ class Channel {
   double grid_min_y_ = 0.0;
   int32_t grid_nx_ = 0;
   int32_t grid_ny_ = 0;
-  std::vector<std::vector<std::pair<NodeId, Node*>>> node_cells_;
+  std::vector<std::vector<Node*>> node_cells_;
   // Current cell index of each node, indexed by node id (dense; -1 =
   // unbucketed). The periodic refresh touches every node, so this
   // lookup must not hash.
   std::vector<int32_t> node_cell_of_;
   mutable std::vector<AirLane> air_cells_;
-  mutable std::vector<std::pair<NodeId, Node*>> scratch_;  // Gather buffer.
+  mutable std::vector<Node*> scratch_;  // Gather buffer.
+  // Audible receivers of the frame being transmitted, sorted by id. The
+  // id is carried beside the node so the sort compares contiguous ints.
+  std::vector<std::pair<NodeId, Node*>> receivers_;
 };
 
 }  // namespace diknn

@@ -17,12 +17,7 @@ Mac::Mac(Node* node, Channel* channel, Simulator* sim, MacParams params,
       sim_(sim),
       params_(params),
       rng_(rng),
-      next_uid_base_(0) {
-  // The duplicate cache is bounded; size its table and FIFO once so
-  // steady-state inserts never rehash or grow the ring.
-  seen_uids_.reserve(kSeenCapacity + 1);
-  seen_order_.reserve(kSeenCapacity + 1);
-}
+      next_uid_base_(0) {}
 
 AllocCounters* Mac::net_allocs() const {
   return channel_ != nullptr ? &channel_->net_allocs() : nullptr;
@@ -208,17 +203,49 @@ bool Mac::FilterReceive(const Packet& packet) {
 
   // Duplicate suppression (an ACK loss makes the sender retransmit a frame
   // the protocol layer already saw).
-  if (seen_uids_.contains(packet.uid)) {
+  if (seen_.CheckAndInsert(packet.uid)) {
     ++stats_.duplicates_dropped;
     return true;
   }
-  seen_uids_.insert(packet.uid);
-  seen_order_.push_back(packet.uid);
-  if (seen_order_.size() > kSeenCapacity) {
-    seen_uids_.erase(seen_order_.front());
-    seen_order_.pop_front();
-  }
   return false;
+}
+
+bool Mac::DuplicateWindow::CheckAndInsert(uint64_t uid) {
+  size_t slot = Home(uid);
+  for (; index_[slot] != kEmpty; slot = (slot + 1) & kSlotMask) {
+    if (ring_[index_[slot]] == uid) return true;
+  }
+  // A full window evicts its oldest uid, the one at `next_`. Evicting
+  // before inserting keeps exactly the last kCapacity uids, as inserting
+  // first would: the new uid is never already present. The eviction can
+  // free a slot earlier on the uid's probe path, so the probe is redone.
+  if (count_ == kCapacity) {
+    EraseIndexOf(next_);
+    slot = Home(uid);
+    while (index_[slot] != kEmpty) slot = (slot + 1) & kSlotMask;
+  } else {
+    ++count_;
+  }
+  ring_[next_] = uid;
+  index_[slot] = next_;
+  next_ = static_cast<uint16_t>((next_ + 1) & (kCapacity - 1));
+  return false;
+}
+
+void Mac::DuplicateWindow::EraseIndexOf(uint16_t pos) {
+  size_t hole = Home(ring_[pos]);
+  while (index_[hole] != pos) hole = (hole + 1) & kSlotMask;
+  for (size_t j = (hole + 1) & kSlotMask; index_[j] != kEmpty;
+       j = (j + 1) & kSlotMask) {
+    // The entry at j may fill the hole only if its home slot does not lie
+    // cyclically in (hole, j]; otherwise lookups would miss it.
+    const size_t home = Home(ring_[index_[j]]);
+    if (((j - home) & kSlotMask) >= ((j - hole) & kSlotMask)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole] = kEmpty;
 }
 
 }  // namespace diknn

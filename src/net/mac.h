@@ -14,17 +14,18 @@
 // deliveries to the protocol layer via a recent (src, uid) cache.
 //
 // Steady-state allocation discipline (docs/PACKET_PLANE.md): the outbound
-// FIFO and duplicate cache are flat recycled buffers, ACK payloads come
-// from the message pool, and completion callbacks use inline-storage
-// BasicSmallFn — after warmup, queuing / sending / acknowledging a frame
-// performs no heap allocation.
+// FIFO is a flat recycled buffer, the duplicate cache lives inline in the
+// Mac, ACK payloads come from the message pool, and completion callbacks
+// use inline-storage BasicSmallFn — after warmup, queuing / sending /
+// acknowledging a frame performs no heap allocation.
 
 #ifndef DIKNN_NET_MAC_H_
 #define DIKNN_NET_MAC_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
-#include "core/flat_map.h"
 #include "core/ring_buffer.h"
 #include "core/rng.h"
 #include "net/channel.h"
@@ -131,10 +132,46 @@ class Mac {
   // frame mid-retry) recognize themselves and bail out.
   uint64_t csma_generation_ = 0;
 
-  // Duplicate suppression: uids recently delivered upward, bounded FIFO.
-  FlatSet<uint64_t> seen_uids_;
-  RingBuffer<uint64_t> seen_order_;
-  static constexpr size_t kSeenCapacity = 256;
+  // Duplicate suppression: the last kCapacity uids delivered upward,
+  // FIFO-evicted. `ring_` holds them in arrival order (once full, the
+  // oldest sits at `next_`, the slot the next uid overwrites); `index_` is
+  // an open-addressing table of ring positions keyed by uid (linear
+  // probing, backward-shift erase, kEmpty = free slot). At most half the
+  // slots are ever used, so every probe ends at a free slot. Both arrays
+  // are inline — 3 KB per node, no heap table to set up — so 200 nodes'
+  // windows stay within a 2 MB L2 (docs/PACKET_PLANE.md).
+  class DuplicateWindow {
+   public:
+    DuplicateWindow() { index_.fill(kEmpty); }
+
+    /// True if `uid` is in the window. Otherwise records it, evicting the
+    /// oldest uid when the window is full, and returns false.
+    bool CheckAndInsert(uint64_t uid);
+
+   private:
+    static constexpr size_t kCapacity = 256;
+    static constexpr int kSlotBits = 9;
+    static constexpr size_t kSlots = size_t{1} << kSlotBits;
+    static constexpr size_t kSlotMask = kSlots - 1;
+    static constexpr uint16_t kEmpty = 0xffff;
+    static_assert(kSlots == 2 * kCapacity, "index load factor is 1/2");
+
+    // Fibonacci hashing: uids are (node << 40 | sequence), so the top bits
+    // of the product spread consecutive sequence numbers across slots.
+    static size_t Home(uint64_t uid) {
+      return static_cast<size_t>((uid * 0x9e3779b97f4a7c15ull) >>
+                                 (64 - kSlotBits));
+    }
+    // Empties the index slot of ring position `pos` and shifts the rest of
+    // its probe cluster back, so no tombstones are left behind.
+    void EraseIndexOf(uint16_t pos);
+
+    std::array<uint64_t, kCapacity> ring_{};
+    std::array<uint16_t, kSlots> index_;
+    uint16_t next_ = 0;   // Ring position the next uid is written to.
+    uint16_t count_ = 0;  // Uids in the window, up to kCapacity.
+  };
+  DuplicateWindow seen_;
 
   MacStats stats_;
   uint64_t next_uid_base_;

@@ -1,6 +1,9 @@
 #include "net/mac.h"
 
+#include <cstdint>
+#include <deque>
 #include <memory>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,6 +30,17 @@ class MacTest : public ::testing::Test {
           Rng(100 + i)));
       channel_->Attach(nodes_.back().get());
     }
+  }
+
+  // Hands node 0's MAC a broadcast frame carrying `uid`, as the channel
+  // would; true when the MAC drops it as a duplicate.
+  bool Offer(uint64_t uid) {
+    Packet packet;
+    packet.src = 1;
+    packet.dst = kBroadcastId;
+    packet.type = MessageType::kBeacon;
+    packet.uid = uid;
+    return nodes_[0]->mac().FilterReceive(packet);
   }
 
   Simulator sim_;
@@ -194,6 +208,74 @@ TEST_F(MacTest, MacHeaderAddedToWireSize) {
                          EnergyCategory::kQuery);
   sim_.Run();
   EXPECT_GT(delivered_at, 0.0);
+}
+
+TEST_F(MacTest, DuplicateWindowHoldsTheLast256DeliveredUids) {
+  Build({{0, 0}});
+  const auto uid = [](uint64_t seq) { return (uint64_t{5} << 40) | seq; };
+  const uint64_t target = uid(0);
+  EXPECT_FALSE(Offer(target));
+  for (uint64_t seq = 1; seq <= 255; ++seq) EXPECT_FALSE(Offer(uid(seq)));
+  // 255 later distinct uids: the target is still inside the window, and
+  // dropping it does not refresh its age.
+  EXPECT_TRUE(Offer(target));
+  // The 256th later uid evicts it; re-aired now, it is delivered again and
+  // re-enters the window, evicting the next-oldest uid (seq 1).
+  EXPECT_FALSE(Offer(uid(256)));
+  EXPECT_FALSE(Offer(target));
+  EXPECT_TRUE(Offer(target));
+  EXPECT_TRUE(Offer(uid(2)));
+  EXPECT_FALSE(Offer(uid(1)));
+  EXPECT_EQ(nodes_[0]->mac().stats().duplicates_dropped, 3u);
+}
+
+TEST_F(MacTest, DuplicateWindowMatchesFifoSetModel) {
+  // Uids drawn from small pools, so hits, evictions and long probe
+  // clusters all occur, checked call by call against a deque + set model
+  // of "the last 256 uids delivered upward, FIFO-evicted".
+  Build({{0, 0}});
+  Rng rng(2024);
+  const auto draw_pool = [&rng](size_t size) {
+    std::vector<uint64_t> pool = {0};
+    while (pool.size() < size) {
+      const uint64_t hi = rng.NextUint32();
+      const uint64_t lo = rng.NextUint32();
+      // Half in the MAC's (node << 40 | sequence) layout, half arbitrary.
+      pool.push_back(pool.size() % 2 == 0 ? (hi % 200) << 40 | (lo % 4096)
+                                          : hi << 32 | lo);
+    }
+    return pool;
+  };
+  std::deque<uint64_t> order;
+  std::unordered_set<uint64_t> window;
+  uint64_t drops = 0;
+  uint64_t evictions = 0;
+  // A pool barely above the window (mostly hits), then a wide one (mostly
+  // misses and evictions).
+  for (const size_t pool_size : {300, 2000}) {
+    const std::vector<uint64_t> pool = draw_pool(pool_size);
+    for (int call = 0; call < 60000; ++call) {
+      const uint64_t uid = pool[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int>(pool.size()) - 1))];
+      const bool duplicate = window.count(uid) > 0;
+      if (duplicate) {
+        ++drops;
+      } else {
+        window.insert(uid);
+        order.push_back(uid);
+        if (order.size() > 256) {
+          window.erase(order.front());
+          order.pop_front();
+          ++evictions;
+        }
+      }
+      ASSERT_EQ(Offer(uid), duplicate)
+          << "pool " << pool_size << ", call " << call << ", uid " << uid;
+    }
+  }
+  EXPECT_EQ(nodes_[0]->mac().stats().duplicates_dropped, drops);
+  EXPECT_GT(drops, 30000u);
+  EXPECT_GT(evictions, 30000u);
 }
 
 }  // namespace

@@ -532,8 +532,11 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
 
   // Workload-spec path: hand the run to the QueryDriver (concurrent
   // queries, mixed classes, deadlines, admission control) and score an
-  // SloReport. Shares the paper path's derived seed so a knn-only spec
-  // sees the same arrival stream the paper generator would.
+  // SloReport. The driver's stream is seeded like the paper generator's,
+  // but even a knn-only spec does not replay its arrivals:
+  // QuerySampler::Next() also draws a query class for every arrival (at
+  // seed 42 with §5.1 defaults the paper path issues 27 queries and
+  // "arrival@kind=poisson,rate=0.25;k@lo=40" issues 22).
   if (config.workload.has_value()) {
     QueryDriver driver(&net, &stack.gpsr(), &stack.protocol(),
                        *config.workload, WorkloadSeed(seed),

@@ -1,20 +1,8 @@
 #include "harness/metrics.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace diknn {
-
-double Accuracy(const std::vector<NodeId>& returned,
-                const std::vector<NodeId>& truth) {
-  if (truth.empty()) return 1.0;
-  std::unordered_set<NodeId> got(returned.begin(), returned.end());
-  int hits = 0;
-  for (NodeId id : truth) {
-    if (got.contains(id)) ++hits;
-  }
-  return static_cast<double>(hits) / truth.size();
-}
 
 Summary Summarize(const std::vector<double>& values) {
   Summary s;

@@ -1,6 +1,7 @@
 #include "knn/query.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 namespace diknn {
 
@@ -39,6 +40,17 @@ void PruneCandidates(std::vector<KnnCandidate>* candidates, const Point& q,
               return a.id < b.id;
             });
   if (candidates->size() > count) candidates->resize(count);
+}
+
+double Accuracy(const std::vector<NodeId>& returned,
+                const std::vector<NodeId>& truth) {
+  if (truth.empty()) return 1.0;
+  std::unordered_set<NodeId> got(returned.begin(), returned.end());
+  int hits = 0;
+  for (NodeId id : truth) {
+    if (got.contains(id)) ++hits;
+  }
+  return static_cast<double>(hits) / truth.size();
 }
 
 }  // namespace diknn

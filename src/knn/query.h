@@ -84,6 +84,13 @@ class KnnProtocol {
 void PruneCandidates(std::vector<KnnCandidate>* candidates, const Point& q,
                      size_t count);
 
+/// Accuracy of a returned id set against the ground truth: the fraction
+/// of true KNNs present in `returned` (the paper's query accuracy, scored
+/// against the true KNN at issue time for pre-accuracy and at receipt
+/// time for post-accuracy).
+double Accuracy(const std::vector<NodeId>& returned,
+                const std::vector<NodeId>& truth);
+
 }  // namespace diknn
 
 #endif  // DIKNN_KNN_QUERY_H_

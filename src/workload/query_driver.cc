@@ -2,28 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <utility>
 
 #include "obs/tracer.h"
 
 namespace diknn {
-
-namespace {
-
-/// Fraction of `truth` present in `returned` (the harness accuracy
-/// definition, duplicated here so the workload library does not depend on
-/// the harness).
-double Overlap(const std::vector<NodeId>& returned,
-               const std::vector<NodeId>& truth) {
-  if (truth.empty()) return 1.0;
-  const std::unordered_set<NodeId> truth_set(truth.begin(), truth.end());
-  size_t hits = 0;
-  for (NodeId id : returned) hits += truth_set.count(id);
-  return static_cast<double>(hits) / truth_set.size();
-}
-
-}  // namespace
 
 QueryDriver::QueryDriver(Network* network, GpsrRouting* gpsr,
                          KnnProtocol* protocol, const WorkloadSpec& spec,
@@ -348,9 +331,9 @@ void QueryDriver::Resolve(uint64_t id, double protocol_latency,
     report_.latency.Add(rec.latency);
   }
   if (!info.truth_pre.empty()) {
-    rec.pre_accuracy = Overlap(returned, info.truth_pre);
+    rec.pre_accuracy = Accuracy(returned, info.truth_pre);
     rec.post_accuracy =
-        Overlap(returned, network_->TrueKnn(info.q, info.k));
+        Accuracy(returned, network_->TrueKnn(info.q, info.k));
   }
   if (info.trace.sampled()) {
     const SimTime tnow = network_->sim().Now();

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "harness/metrics.h"
+#include "knn/query.h"
 
 namespace diknn {
 namespace {

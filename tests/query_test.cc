@@ -70,5 +70,30 @@ TEST(PruneCandidatesTest, ZeroCountClears) {
   EXPECT_TRUE(cands.empty());
 }
 
+TEST(AccuracyTest, PerfectMatch) {
+  EXPECT_DOUBLE_EQ(Accuracy({1, 2, 3}, {3, 2, 1}), 1.0);
+}
+
+TEST(AccuracyTest, PartialMatch) {
+  EXPECT_DOUBLE_EQ(Accuracy({1, 2, 9}, {1, 2, 3, 4}), 0.5);
+}
+
+TEST(AccuracyTest, NoMatch) {
+  EXPECT_DOUBLE_EQ(Accuracy({7, 8}, {1, 2}), 0.0);
+}
+
+TEST(AccuracyTest, EmptyTruthIsPerfect) {
+  EXPECT_DOUBLE_EQ(Accuracy({1, 2}, {}), 1.0);
+}
+
+TEST(AccuracyTest, EmptyReturnedIsZero) {
+  EXPECT_DOUBLE_EQ(Accuracy({}, {1, 2}), 0.0);
+}
+
+TEST(AccuracyTest, ExtraReturnedDoesNotInflate) {
+  // Only the truth hits matter (the measure is recall of the true KNN).
+  EXPECT_DOUBLE_EQ(Accuracy({1, 2, 3, 4, 5, 6}, {1, 2}), 1.0);
+}
+
 }  // namespace
 }  // namespace diknn

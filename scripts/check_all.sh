@@ -7,7 +7,9 @@
 # 2000-frame bench_channel, so the bench binaries themselves are
 # exercised; bench_micro's steady-state allocation gate runs at full
 # strength even in smoke mode, and bench_channel fails if the grid and
-# brute-force traffic counters diverge; DIKNN_CHECK_BENCH=0 skips them).
+# brute-force traffic counters diverge), then the six examples and a
+# one-run bench_window_query, which must all exit 0
+# (DIKNN_CHECK_BENCH=0 skips this block).
 # The smokes run in a temporary directory: a bench writes
 # BENCH_<name>.json to its working directory, and the committed records
 # at the repository root are full-mode runs. Then a traced-query run
@@ -22,6 +24,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 bench="$PWD/build/bench"
+examples="$PWD/build/examples"
 
 echo "== release build + ctest =="
 cmake --preset release
@@ -54,6 +57,16 @@ if [[ "${DIKNN_CHECK_BENCH:-1}" != "0" ]]; then
     DIKNN_PDES_QUERY_SMOKE=1 "$bench/bench_pdes"
     echo "== bench_channel smoke (grid vs brute-force equivalence) =="
     DIKNN_BENCH_FRAMES=2000 DIKNN_BENCH_SIZES=250,1000 "$bench/bench_channel"
+    # The examples and bench_window_query are the only non-test binaries
+    # that drive both itinerary sweeps (window and aggregate).
+    echo "== examples =="
+    for example in quickstart battlefield_monitoring continuous_monitoring \
+        environmental_monitoring protocol_comparison wildlife_tracking; do
+      echo "-- $example"
+      "$examples/$example"
+    done
+    echo "== bench_window_query smoke =="
+    DIKNN_RUNS=1 "$bench/bench_window_query"
   )
 fi
 

@@ -137,7 +137,8 @@ echo "== flight-recorder smoke =="
 # JSON with at least one non-empty deterministic series, byte-identical
 # across --jobs, and its deterministic section byte-identical between
 # the 1-shard windowed engine and a 4-shard run (docs/OBSERVABILITY.md
-# "Time series & flight recorder").
+# "Time series & flight recorder"). Both sharded runs must also keep every
+# worker thread's steady state allocation-free (net.allocs == 0).
 ts_workload='arrival@kind=poisson,rate=8;k@lo=6,hi=10;deadline@s=2;admit@inflight=24,queue=12'
 ./build/tools/diknn-sim --runs 2 --jobs 1 --duration 20 --nodes 120 --field 90 \
   --workload "$ts_workload" --ts-interval 1 --ts-out "$obs_dir/ts_jobs1.json"
@@ -147,10 +148,12 @@ cmp "$obs_dir/ts_jobs1.json" "$obs_dir/ts_jobs4.json" \
   || { echo "flight recording differs across --jobs"; exit 1; }
 ./build/tools/diknn-sim --runs 1 --duration 8 --nodes 1024 --field 560 \
   --windowed --workload "$ts_workload" --ts-interval 0.5 \
-  --ts-out "$obs_dir/ts_shards1.json"
+  --ts-out "$obs_dir/ts_shards1.json" \
+  --metrics-out "$obs_dir/ts_shards1_metrics.json"
 ./build/tools/diknn-sim --runs 1 --duration 8 --nodes 1024 --field 560 \
   --shards 4 --workload "$ts_workload" --ts-interval 0.5 \
-  --ts-out "$obs_dir/ts_shards4.json"
+  --ts-out "$obs_dir/ts_shards4.json" \
+  --metrics-out "$obs_dir/ts_shards4_metrics.json"
 if command -v python3 >/dev/null; then
   python3 - "$obs_dir/ts_jobs1.json" "$obs_dir/ts_shards1.json" \
     "$obs_dir/ts_shards4.json" <<'PY'
@@ -166,6 +169,18 @@ if (a["series"], a["annotations"]) != (b["series"], b["annotations"]):
     raise SystemExit("deterministic series differ across shard counts")
 print(f"flight recording OK: {len(series)} deterministic series, "
       "bit-identical across --jobs and --shards")
+PY
+  # The sharded engine's allocation gate with the recorder and the query
+  # plane on: every worker thread's steady state must be allocation-free.
+  python3 - "$obs_dir/ts_shards1_metrics.json" \
+    "$obs_dir/ts_shards4_metrics.json" <<'PY'
+import json, sys
+for path in sys.argv[1:]:
+    with open(path) as f:
+        allocs = json.load(f)["counters"].get("net.allocs")
+    if allocs != 0:
+        raise SystemExit(f"{path}: expected net.allocs == 0, got {allocs}")
+print("recorded psim runs: net.allocs == 0 at --windowed and --shards 4")
 PY
 else
   echo "python3 not found; skipping flight-recorder validation"

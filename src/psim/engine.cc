@@ -381,6 +381,9 @@ PsimResult PsimEngine::Run() {
     const double t = k * lookahead;
     if (t + 1e-12 < ts_state.next_sample_t) return;
     ts_state.sample_windows = k - ts_state.prev_k;
+    // The completion step runs on whichever worker arrives last, under
+    // that worker's AllocScope: the recorder's growth belongs to no shard.
+    AllocScopePause recorder_growth;
     recorder.Tick(t);
     ts_state.prev_t = t;
     ts_state.prev_k = k;

@@ -314,7 +314,7 @@ void PsimShard::SweepIfDue(uint64_t k) {
     n.cell = cell;
     const int owner = part.OwnerOfCell(cell);
     if (owner == id_) {
-      world_->cell_nodes[cell].push_back(i);
+      PushBackRetained(&world_->cell_nodes[cell], i);
       continue;
     }
     NeighborInbox* box = RequireOutbox(owner);
@@ -382,7 +382,7 @@ void PsimShard::DrainMailboxes(uint64_t k) {
 
   const auto adopt = [this](uint32_t i) {
     PsimNode& n = world_->nodes[i];
-    world_->cell_nodes[n.cell].push_back(i);
+    PushBackRetained(&world_->cell_nodes[n.cell], i);
     owned_.push_back(i);
     ++stats_.migrations_in;
     // The pending event was cancelled by the previous owner; re-arm it

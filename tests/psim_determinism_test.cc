@@ -46,6 +46,32 @@ PsimConfig WideConfig() {
   return config;
 }
 
+// The query-plane soak config: 200+ mixed-class queries over GPSR + DIKNN
+// itineraries, with kills and per-hop losses.
+PsimConfig QuerySoakConfig() {
+  PsimConfig config;
+  config.node_count = 1024;
+  config.field = Rect::Field(560.0, 115.0);
+  config.beacon_interval = 0.1;
+  config.loss_rate = 0.03;  // Per-hop query losses -> retries.
+  config.duration = 2.5;
+  config.seed = 42;
+  // Kills land mid-run on nodes that carry traffic (never the sink).
+  config.node_kills = {{0.6, 101}, {0.9, 333}, {1.4, 512}, {1.4, 700}};
+  std::string error;
+  const auto spec = WorkloadSpec::Parse(
+      "arrival@kind=poisson,rate=100;mix@knn=50,window=25,aggregate=25;"
+      "k@lo=4,hi=12;deadline@s=1.0;admit@inflight=48,queue=32;"
+      "cache@ttl=0.4;coalesce@window=0.15",
+      &error);
+  EXPECT_TRUE(spec.has_value()) << error;
+  config.query.enabled = true;
+  config.query.spec = *spec;
+  config.query.sink = 0;
+  config.query.warmup = 0.2;  // Let neighbor tables fill first.
+  return config;
+}
+
 // --- Contract 2: partition-invariant counters across shard counts. ----
 
 TEST(PsimDeterminismTest, TrafficCountersInvariantAcrossShardCounts) {
@@ -121,6 +147,23 @@ TEST(PsimDeterminismTest, SteadyStateAllocationFreeOnEveryShard) {
   EXPECT_EQ(result.obs.GaugeValue("psim.shards"), 4.0);
   EXPECT_EQ(result.obs.CounterValue("psim.frames_sent"),
             result.totals.frames_sent);
+
+  // With the query plane and the flight recorder on, the sink, the cell
+  // buckets and the recorder's series all grow mid-run; none of that
+  // growth may be charged to a shard. The recorder samples from the
+  // barrier's completion step, on whichever worker arrives last.
+  PsimConfig served = QuerySoakConfig();
+  served.shards = 4;
+  served.ts = TimeSeriesOptions{0.25, 256};
+  const PsimResult recorded = RunPsim(served);
+  ASSERT_GT(recorded.ts.series().size(), 0u);
+  for (size_t s = 0; s < recorded.shard_stats.size(); ++s) {
+    EXPECT_EQ(recorded.shard_stats[s].steady_allocs, 0u)
+        << "shard " << s << " allocated "
+        << recorded.shard_stats[s].steady_alloc_bytes
+        << " bytes with the recorder on";
+  }
+  EXPECT_EQ(recorded.obs.CounterValue("net.allocs"), 0u);
 }
 
 // --- Contract 1: the harness's --shards 1 is byte-equal to the serial
@@ -164,30 +207,6 @@ TEST(PsimDeterminismTest, ShardsOneIsTheSerialEngineBitForBit) {
 
 // --- Contract 4: query-plane soak — 200+ mixed-class queries over GPSR
 // --- + DIKNN itineraries, with kills and losses, across shard counts.
-
-PsimConfig QuerySoakConfig() {
-  PsimConfig config;
-  config.node_count = 1024;
-  config.field = Rect::Field(560.0, 115.0);
-  config.beacon_interval = 0.1;
-  config.loss_rate = 0.03;  // Per-hop query losses -> retries.
-  config.duration = 2.5;
-  config.seed = 42;
-  // Kills land mid-run on nodes that carry traffic (never the sink).
-  config.node_kills = {{0.6, 101}, {0.9, 333}, {1.4, 512}, {1.4, 700}};
-  std::string error;
-  const auto spec = WorkloadSpec::Parse(
-      "arrival@kind=poisson,rate=100;mix@knn=50,window=25,aggregate=25;"
-      "k@lo=4,hi=12;deadline@s=1.0;admit@inflight=48,queue=32;"
-      "cache@ttl=0.4;coalesce@window=0.15",
-      &error);
-  EXPECT_TRUE(spec.has_value()) << error;
-  config.query.enabled = true;
-  config.query.spec = *spec;
-  config.query.sink = 0;
-  config.query.warmup = 0.2;  // Let neighbor tables fill first.
-  return config;
-}
 
 TEST(PsimDeterminismTest, QueryPlaneInvariantAcrossShardCounts) {
   PsimConfig config = QuerySoakConfig();

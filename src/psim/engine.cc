@@ -308,7 +308,7 @@ PsimResult PsimEngine::Run() {
         const double dt = t - ts_state.prev_t;
         hops_per_s->Append(
             t, dt > 0.0 ? ts_state.qp_hops.Take(hops) / dt : 0.0);
-        const SloReport& now = world_->query.slo;
+        const SloReport& now = world_->query.sink->report();
         const SloReport& prev = ts_state.prev_slo;
         const uint64_t issued = now.issued - prev.issued;
         issued_per_s->Append(t, dt > 0.0 ? issued / dt : 0.0);
@@ -324,7 +324,10 @@ PsimResult PsimEngine::Run() {
                                         issued));
         timeout_rate->Append(t, SafeRate(now.timed_out - prev.timed_out,
                                          issued));
-        const ServingCounters& sc = world_->query.front_end->counters();
+        const ServingFrontEnd* front_end = world_->query.sink->serving();
+        const ServingCounters sc = front_end != nullptr
+                                       ? front_end->counters()
+                                       : ServingCounters{};
         const ServingCounters& sp = ts_state.prev_serving;
         const uint64_t hits = sc.cache_hits - sp.cache_hits;
         const uint64_t misses = sc.cache_misses - sp.cache_misses;
@@ -444,8 +447,16 @@ PsimResult PsimEngine::Run() {
 
   // Workers are joined: single-threaded from here. Settle everything the
   // horizon left pending (in-flight queries time out) and seal the
-  // report before it is published into the snapshot.
-  if (config_.query.enabled) FinalizeQueryPlane(&world_->query);
+  // report before it is published into the snapshot; the shard owning
+  // the sink stands in as its engine.
+  if (config_.query.enabled) {
+    QueryPlaneState& qp = world_->query;
+    PsimShard& owner = *shards_[static_cast<size_t>(
+        part.OwnerOfCell(world_->nodes[qp.config.sink].cell))];
+    qp.sink->Finalize(static_cast<double>(windows) * lookahead,
+                      std::max(0.0, qp.config.horizon - qp.config.warmup),
+                      owner);
+  }
 
   // Kill-edge annotations, recomputed from the schedule: each kill lands
   // at its sweep window's boundary, a pure function of (schedule, L) —
@@ -468,7 +479,7 @@ PsimResult PsimEngine::Run() {
   result.lookahead_s = part.lookahead();
   result.wall_s = wall_s;
   result.query_ran = config_.query.enabled;
-  result.slo = world_->query.slo;
+  if (config_.query.enabled) result.slo = world_->query.sink->report();
   for (int s = 0; s < shard_count; ++s) {
     const PsimShard& shard = *shards_[static_cast<size_t>(s)];
     result.shard_stats.push_back(shard.stats());
@@ -584,20 +595,19 @@ MetricsSnapshot PsimEngine::BuildObsSnapshot(
       reg.PublishCounter(ShardMetricName(sid, "qp_boundary_frames"),
                          qs.boundary_frames);
       if (s == 0) {
-        // Sink-side serving/SLO tallies live in world state, not shard
-        // stats; publish them once so the merged snapshot carries the
-        // same rows the serial harness emits.
-        const QueryPlaneState& q = world_->query;
-        reg.PublishCounter("workload.issued", q.slo.issued);
-        reg.PublishCounter("workload.completed", q.slo.completed);
-        reg.PublishCounter("workload.deadline_missed",
-                           q.slo.deadline_missed);
-        reg.PublishCounter("workload.rejected", q.slo.rejected);
-        reg.PublishCounter("workload.timed_out", q.slo.timed_out);
+        // The sink's SLO and serving tallies are not shard stats;
+        // publish them once so the merged snapshot carries the same rows
+        // the serial harness emits.
+        const SloReport& slo = result.slo;
+        reg.PublishCounter("workload.issued", slo.issued);
+        reg.PublishCounter("workload.completed", slo.completed);
+        reg.PublishCounter("workload.deadline_missed", slo.deadline_missed);
+        reg.PublishCounter("workload.rejected", slo.rejected);
+        reg.PublishCounter("workload.timed_out", slo.timed_out);
         reg.PublishGauge("workload.peak_inflight",
-                         static_cast<double>(q.slo.peak_inflight),
+                         static_cast<double>(slo.peak_inflight),
                          GaugeMode::kMax);
-        const ServingCounters& sc = q.slo.serving;
+        const ServingCounters& sc = slo.serving;
         reg.PublishCounter("serving.cache_hits", sc.cache_hits);
         reg.PublishCounter("serving.cache_misses", sc.cache_misses);
         reg.PublishCounter("serving.cache_expired", sc.cache_expired);

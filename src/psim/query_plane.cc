@@ -1,15 +1,14 @@
 // Query plane of the conservative parallel engine (see query_plane.h for
 // the protocol argument). Split in three parts:
 //
-//   1. BuildQueryPlane / FinalizeQueryPlane — single-threaded bookends
-//      run by the engine before the shards are constructed and after the
-//      worker threads joined;
+//   1. BuildQueryPlane — single-threaded, run by the engine before the
+//      shards are constructed;
 //   2. the PsimShard frame handlers — the DIKNN emulation proper: request
 //      routing, itinerary traversal with collection, sector-result merge,
 //      reply delivery;
-//   3. the sink duties — QueryDriver's admission (bounded inflight + FIFO
-//      queue, then the shared ServingFrontEnd at launch), timeout scans,
-//      and SLO accounting.
+//   3. the sink duties — this engine's side of the shared QuerySink:
+//      per-window arrivals, the request-frame launch, timeout scans, and
+//      reply resolution.
 //
 // Determinism note repeated from the header: every decision below reads
 // only (a) state owned by the shard executing it at that window, (b)
@@ -198,37 +197,10 @@ void BuildQueryPlane(QueryPlaneState* qp, const Rect& field, int node_count,
   }
   qp->max_radius = max_radius;
 
-  // Pre-size every sink-side container so steady state never allocates.
+  // Pre-size the sink-side containers so steady state never allocates.
   qp->active.reserve(qp->queries.size() + 1);
-  qp->queue.reserve(qp->queries.size() + 1);
   qp->answer.reserve(kMaxQueryCandidates);
-  qp->front_end.emplace(spec.Serving(), field, max_speed, radio_range);
-}
-
-void FinalizeQueryPlane(QueryPlaneState* qp) {
-  if (!qp->config.enabled) return;
-  SloReport& slo = qp->slo;
-  // QueryDriver::Finalize's scoring: a queued arrival never launched, so
-  // it is rejected; anything still in flight (followers included) times
-  // out.
-  for (PsimQuery& q : qp->queries) {
-    if (q.phase == QueryPhase::kQueued) {
-      ++slo.rejected;
-    } else if (q.phase == QueryPhase::kInflight ||
-               q.phase == QueryPhase::kFollower) {
-      ++slo.timed_out;
-    } else {
-      continue;
-    }
-    q.phase = QueryPhase::kDone;
-  }
-  qp->inflight = 0;
-  qp->active.clear();
-  qp->queue.clear();
-  qp->queue_head = 0;
-  slo.duration = std::max(0.0, qp->config.horizon - qp->config.warmup);
-  slo.serving = qp->front_end->counters();
-  assert(slo.Consistent());
+  qp->sink.emplace(spec, field, max_speed, radio_range);
 }
 
 // ---------------------------------------------------------------------------
@@ -511,11 +483,10 @@ void PsimShard::HandleReply(const PsimQueryFrame& f, SimTime now) {
   if (v != qp.config.sink) {
     PsimQueryFrame g = f;
     SendToward(&g, v, qp.config.sink, SinkTargetPoint(), now);
-  } else if (qp.queries[f.query].phase != QueryPhase::kInflight) {
-    ++stats_.qp.late_replies;  // Timed out (or otherwise resolved) first.
-  } else {
+  } else if (ResolveLeader(f.query, &f, now)) {
     ++stats_.qp.replies;
-    ResolveLeader(f.query, &f, now);
+  } else {
+    ++stats_.qp.late_replies;  // Timed out first.
   }
 }
 
@@ -618,94 +589,49 @@ void PsimShard::ProcessSink(uint64_t k, SimTime now) {
   const double timeout = qp.config.diknn.query_timeout;
   if (timeout > 0.0 &&
       k % static_cast<uint64_t>(world_->partition.refresh_windows()) == 0) {
-    // ResolveLeader swaps the last active id into slot i.
+    // ResolveLeader swaps the last active query into slot i.
     for (size_t i = 0; i < qp.active.size();) {
-      const uint32_t id = qp.active[i];
-      if (now - qp.queries[id].admit_t >= timeout) {
-        ResolveLeader(id, nullptr, now);
+      if (now - qp.active[i].launched_at >= timeout) {
+        ResolveLeader(qp.active[i].id, nullptr, now);
       } else {
         ++i;
       }
     }
   }
-  // Admit the arrivals of this window.
+  // Hand this window's arrivals to the sink.
   const double window_end =
       static_cast<double>(k + 1) * world_->partition.lookahead();
   while (qp.next_arrival < qp.queries.size() &&
          qp.queries[qp.next_arrival].issue_t < window_end) {
-    AdmitArrival(static_cast<uint32_t>(qp.next_arrival++), now);
+    const uint32_t id = static_cast<uint32_t>(qp.next_arrival++);
+    const PsimQuery& q = qp.queries[id];
+    qp.sink->Arrive(id,
+                    SampledQuery{q.cls, static_cast<NodeId>(qp.config.sink),
+                                 q.q, q.k},
+                    q.issue_t, now, *this);
   }
 }
 
-void PsimShard::AdmitArrival(uint32_t id, SimTime now) {
-  QueryPlaneState& qp = world_->query;
-  const WorkloadSpec& spec = qp.config.spec;
-  PsimQuery& q = qp.queries[id];
-  ++qp.slo.issued;
-  ++qp.slo.issued_by_class[static_cast<size_t>(q.cls)];
-  // QueryDriver::Admit: the admission bound and its FIFO waiting room
-  // come first; serving decides at launch.
-  if (spec.max_inflight > 0 &&
-      qp.inflight >= static_cast<uint32_t>(spec.max_inflight)) {
-    if (static_cast<int>(qp.queue.size() - qp.queue_head) <
-        spec.queue_capacity) {
-      q.phase = QueryPhase::kQueued;
-      qp.queue.push_back(id);
-    } else {
-      ++qp.slo.rejected;
-      q.phase = QueryPhase::kDone;
-    }
-    return;
-  }
-  LaunchQuery(id, now);
+Point PsimShard::SinkPosition(NodeId sink, SimTime now) {
+  return world_->nodes[static_cast<uint32_t>(sink)].mobility->PositionAt(
+      now);
 }
 
-void PsimShard::LaunchQuery(uint32_t id, SimTime now) {
+void PsimShard::Launch(const SinkQuery& query) {
+  if (query.path != ServingPath::kDirect) return;  // Served by the sink.
   QueryPlaneState& qp = world_->query;
-  PsimQuery& q = qp.queries[id];
+  const SimTime now = query.launched_at;
   const uint32_t sink = qp.config.sink;
   const PsimNode& snode = world_->nodes[sink];
-  const Point pos = snode.mobility->PositionAt(now);
-  // QueryDriver::Launch: the front end only fronts point-KNN queries.
-  using Action = ServingFrontEnd::Decision::Action;
-  Action action = Action::kLaunch;
-  if (q.cls == QueryClass::kKnn) {
-    // Time left before the deadline; < 0 means the queue wait already ate
-    // the whole budget, exactly 0 encodes "no deadline" (see Route()).
-    const double deadline = qp.config.spec.deadline;
-    const double budget = deadline > 0.0 ? q.issue_t + deadline - now : 0.0;
-    action = qp.front_end
-                 ->Route(id, q.q, pos, static_cast<int>(q.cls), q.k, budget,
-                         now)
-                 .action;
-    if (action == Action::kShed) {
-      ++qp.slo.rejected;
-      q.phase = QueryPhase::kDone;
-      return;
-    }
-  }
-  ++qp.inflight;
-  qp.slo.peak_inflight = std::max<uint64_t>(qp.slo.peak_inflight, qp.inflight);
-  q.admit_t = now;
-  q.sink_pos = pos;
-  if (action == Action::kCacheHit) {
-    Resolve(id, now, /*timed_out=*/false);  // No channel traffic.
-    return;
-  }
-  if (action == Action::kFollower) {
-    q.phase = QueryPhase::kFollower;  // Resolves with its leader.
-    return;
-  }
-  q.phase = QueryPhase::kInflight;
-  qp.active.push_back(id);
+  qp.active.push_back(query);
   PsimQueryFrame g{};
   g.kind = QueryFrameKind::kRequest;
-  g.query = id;
+  g.query = static_cast<uint32_t>(query.id);
   g.prev = kInvalidQueryNode;
   g.hops = 1;
   NeighborEntry next;
-  if (GreedyNextHopFrom(snode.neighbors, pos, q.q, kInvalidNodeId, now,
-                        &next)) {
+  if (GreedyNextHopFrom(snode.neighbors, snode.mobility->PositionAt(now),
+                        query.q, kInvalidNodeId, now, &next)) {
     g.dest = static_cast<uint32_t>(next.id);
     ++stats_.qp.request_hops;
   } else {
@@ -716,76 +642,24 @@ void PsimShard::LaunchQuery(uint32_t id, SimTime now) {
   SendQueryFrame(&g, sink, 1);
 }
 
-void PsimShard::ResolveLeader(uint32_t id, const PsimQueryFrame* reply,
+bool PsimShard::ResolveLeader(uint32_t id, const PsimQueryFrame* reply,
                               SimTime now) {
   QueryPlaneState& qp = world_->query;
-  const PsimQuery& q = qp.queries[id];
-  const bool timed_out = reply == nullptr;
-  for (size_t i = 0; i < qp.active.size(); ++i) {
-    if (qp.active[i] == id) {
-      qp.active[i] = qp.active.back();
-      qp.active.pop_back();
-      break;
-    }
-  }
-  if (q.cls != QueryClass::kKnn) {
-    Resolve(id, now, timed_out);
-    return;
-  }
-  // QueryDriver::ResolveKnnLeader's order: feed the front end first, so
-  // the cache entry it seeds and the leader slot it frees are visible to
-  // the queued queries Resolve() promotes; then fan out to the followers
-  // (a timed-out leader times them out too).
+  const auto it = std::find_if(
+      qp.active.begin(), qp.active.end(),
+      [id](const SinkQuery& launched) { return launched.id == id; });
+  if (it == qp.active.end()) return false;
+  const SimTime launched_at = it->launched_at;
+  *it = qp.active.back();
+  qp.active.pop_back();
   qp.answer.clear();
-  for (uint16_t i = 0; !timed_out && i < reply->ncand; ++i) {
+  for (uint16_t i = 0; reply != nullptr && i < reply->ncand; ++i) {
     const QueryCandidate& c = reply->cand[i];
     qp.answer.push_back({static_cast<NodeId>(c.id), {c.x, c.y}, 0.0, now});
   }
-  // The follower list stays valid through the loop: promoted queries
-  // only Route(), and no reply can land before the next window.
-  const std::vector<QueryCoalescer::Follower>& followers =
-      qp.front_end->OnResolved(id, q.q, q.sink_pos, static_cast<int>(q.cls),
-                               q.k, qp.answer, now - q.admit_t, timed_out,
-                               now);
-  Resolve(id, now, timed_out);
-  for (const QueryCoalescer::Follower& f : followers) {
-    assert(qp.queries[f.ticket].phase == QueryPhase::kFollower);
-    Resolve(static_cast<uint32_t>(f.ticket), now, timed_out);
-  }
-}
-
-void PsimShard::Resolve(uint32_t id, SimTime now, bool timed_out) {
-  QueryPlaneState& qp = world_->query;
-  PsimQuery& q = qp.queries[id];
-  q.phase = QueryPhase::kDone;
-  if (timed_out) {
-    ++qp.slo.timed_out;
-  } else {
-    const double latency = std::max(0.0, now - q.issue_t);
-    const double deadline = qp.config.spec.deadline;
-    if (deadline > 0.0 && latency > deadline) {
-      ++qp.slo.deadline_missed;
-    } else {
-      ++qp.slo.completed;
-    }
-    qp.slo.latency.Add(latency);
-  }
-  assert(qp.inflight > 0);
-  --qp.inflight;
-  DrainAdmissionQueue(now);
-}
-
-void PsimShard::DrainAdmissionQueue(SimTime now) {
-  QueryPlaneState& qp = world_->query;
-  const int bound = qp.config.spec.max_inflight;
-  while (qp.queue_head < qp.queue.size() &&
-         (bound <= 0 || qp.inflight < static_cast<uint32_t>(bound))) {
-    LaunchQuery(qp.queue[qp.queue_head++], now);
-  }
-  if (qp.queue_head >= qp.queue.size()) {
-    qp.queue.clear();  // Capacity is retained: still allocation-free.
-    qp.queue_head = 0;
-  }
+  qp.sink->Resolve(id, now - launched_at, /*timed_out=*/reply == nullptr,
+                   qp.answer, now, *this);
+  return true;
 }
 
 }  // namespace diknn

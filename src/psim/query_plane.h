@@ -16,8 +16,8 @@
 // every query-plane traffic counter byte-equal across shard counts.
 //
 // Per-query state ownership is split by role, never shared:
-//   * sink-owned   — admission, serving, outcome accounting; touched only
-//                    by the shard owning the sink node at that window;
+//   * sink-owned   — the QuerySink and the launched-query list; touched
+//                    only by the shard owning the sink node at that window;
 //   * home-owned   — sector merge state (SectorState of the serial
 //                    engine); touched only by the shard owning the
 //                    query's home node.
@@ -27,13 +27,13 @@
 // migration mailbox's release/acquire pair orders every prior state
 // write before the new owner's first read (docs/ENGINE.md).
 //
-// The sink runs the serial engine's serving code: arrivals come from the
-// workload layer's QuerySampler (the same stream and draw order as
-// QueryDriver), and admission runs in QueryDriver's order — the inflight
-// bound and FIFO waiting room first, then, at launch, point-KNN queries
-// through the shared ServingFrontEnd (cache, coalescing, shedding), whose
-// OnResolved() sees every leader's reply or timeout. Queries still queued
-// at the horizon score as rejected, still in flight as timed out.
+// The sink is the serial engine's: arrivals come from the workload
+// layer's QuerySampler (the same stream and draw order as QueryDriver),
+// and admission, serving, leader resolution and scoring run in the shared
+// QuerySink (workload/query_sink.h). This engine keeps only what differs:
+// arrivals admitted per window, the request-frame launch, the timeout
+// scan on the sweep cadence, and the reply frame's conversion to an
+// answer.
 //
 // Modeling notes (what still diverges from the serial engine): query
 // packets ride an overlay and do not contend with beacons on the channel
@@ -53,8 +53,7 @@
 
 #include "core/geometry.h"
 #include "knn/diknn.h"
-#include "serving/front_end.h"
-#include "workload/latency_histogram.h"
+#include "workload/query_sink.h"
 #include "workload/workload_spec.h"
 
 namespace diknn {
@@ -106,18 +105,10 @@ struct PsimQueryFrame {
   std::array<QueryCandidate, kMaxQueryCandidates> cand;
 };
 
-/// Sink-side lifecycle of one query.
-enum class QueryPhase : uint8_t {
-  kScheduled,  ///< Built into the arrival schedule; not yet admitted.
-  kQueued,     ///< Waiting in the admission queue.
-  kInflight,   ///< Launched on the network.
-  kFollower,   ///< Coalesced onto an in-flight leader (ServingFrontEnd).
-  kDone,       ///< Resolved (any outcome).
-};
-
 /// One query. The immutable block is written single-threaded before the
-/// run; the sink-owned and home-owned blocks are disjoint field sets so
-/// the two roles never write the same memory (see header comment).
+/// run; the home-owned block is written only by the query's home node
+/// (see header comment). The sink's per-query state lives in the
+/// QuerySink.
 struct PsimQuery {
   // Immutable after BuildQueryPlane.
   SimTime issue_t = 0.0;
@@ -126,10 +117,6 @@ struct PsimQuery {
   Rect rect;             ///< Window/aggregate extent (empty otherwise).
   float radius = 0.0f;   ///< Dissemination boundary radius estimate.
   uint16_t k = 0;
-  // Sink-owned.
-  QueryPhase phase = QueryPhase::kScheduled;
-  SimTime admit_t = 0.0;  ///< Launch time.
-  Point sink_pos;         ///< Sink position at launch (serving's ring).
   // Home-owned.
   uint32_t home = kInvalidQueryNode;
   uint8_t sectors_total = 0;
@@ -209,32 +196,21 @@ struct QueryPlaneState {
 
   // --- Sink-owned from here on. ---
   size_t next_arrival = 0;  ///< First query not yet admitted.
-  /// In-flight count as QueryDriver keeps it: launched queries and
-  /// coalesced followers (a cache hit passes through it).
-  uint32_t inflight = 0;
-  std::vector<uint32_t> active;  ///< Launched query ids (timeout scan).
-  std::vector<uint32_t> queue;   ///< FIFO waiting room (ring).
-  size_t queue_head = 0;
-  /// The serving front end, fronting kKnn launches (engaged whenever the
-  /// plane is enabled; stages the spec leaves off do nothing).
-  std::optional<ServingFrontEnd> front_end;
-  std::vector<KnnCandidate> answer;  ///< A reply's candidates, for serving.
-  SloReport slo;
+  /// Queries launched on the network, as the sink launched them
+  /// (SinkQuery::id indexes `queries`), awaiting a reply or the timeout.
+  std::vector<SinkQuery> active;
+  std::vector<KnnCandidate> answer;  ///< A reply's candidates.
+  /// The sink shared with the serial engine (engaged when the plane is).
+  std::optional<QuerySink> sink;
 };
 
-/// Builds the arrival schedule, the serving front end, and pre-sizes
-/// every sink-side container (single-threaded, before the shards are
+/// Builds the arrival schedule and the sink, and pre-sizes every
+/// sink-side container (single-threaded, before the shards are
 /// constructed). The schedule is QueryDriver's stream for (seed, spec),
 /// independent of the shard count.
 void BuildQueryPlane(QueryPlaneState* qp, const Rect& field,
                      int node_count, double radio_range, double max_speed,
                      SimTime run_duration, uint64_t seed);
-
-/// Resolves everything still pending when the run's horizon passed —
-/// queued queries are rejected, in-flight ones and their followers time
-/// out, as in QueryDriver — and seals the SloReport (duration, serving
-/// counters). Single-threaded, after the worker threads joined.
-void FinalizeQueryPlane(QueryPlaneState* qp);
 
 }  // namespace diknn
 

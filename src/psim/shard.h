@@ -241,7 +241,7 @@ struct PsimWorld {
   }
 };
 
-class PsimShard {
+class PsimShard : private QuerySink::Engine {
  public:
   /// Everything one shard consumes from one adjacent producer: the three
   /// SPSC rings of the per-window exchange. Created by the engine wiring
@@ -406,18 +406,17 @@ class PsimShard {
   bool NextItineraryHop(const PsimQuery& query, int sector, uint32_t v,
                         const Point& pos, uint32_t prev, SimTime now,
                         float* progress, NeighborEntry* next);
-  // Sink duties (only the shard owning the sink node runs these), in
-  // QueryDriver's Admit / Launch / ResolveKnnLeader / Resolve order.
+  // Sink duties (only the shard owning the sink node runs these): this
+  // engine's side of the shared QuerySink.
   void ProcessSink(uint64_t k, SimTime now);
-  void AdmitArrival(uint32_t query, SimTime now);
-  void LaunchQuery(uint32_t query, SimTime now);
+  Point SinkPosition(NodeId sink, SimTime now) override;
+  /// Sends a direct query's request frame toward its home node.
+  void Launch(const SinkQuery& query) override;
   /// A launched query's reply landed, or (`reply` null) its timeout
-  /// expired: feeds serving and resolves the query and its followers.
-  void ResolveLeader(uint32_t query, const PsimQueryFrame* reply,
+  /// expired: hands the answer to the sink. False when the query is no
+  /// longer in flight.
+  bool ResolveLeader(uint32_t query, const PsimQueryFrame* reply,
                      SimTime now);
-  /// Scores one query, frees its inflight slot, drains the queue.
-  void Resolve(uint32_t query, SimTime now, bool timed_out);
-  void DrainAdmissionQueue(SimTime now);
   Point SinkTargetPoint() const;
 
   PsimWorld* world_;

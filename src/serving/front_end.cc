@@ -38,7 +38,7 @@ ServingFrontEnd::Decision ServingFrontEnd::Route(uint64_t ticket,
     const auto hit = cache_.Lookup(cell, cls, k, q, now, &expired);
     if (hit.has_value()) {
       ++counters_.cache_hits;
-      decision.action = Decision::Action::kCacheHit;
+      decision.path = ServingPath::kCacheHit;
       decision.candidates = *hit;
       return decision;
     }
@@ -51,7 +51,7 @@ ServingFrontEnd::Decision ServingFrontEnd::Route(uint64_t ticket,
     const auto leader = coalescer_.TryAttach(key, ticket, k, now);
     if (leader.has_value()) {
       ++counters_.coalesced;
-      decision.action = Decision::Action::kFollower;
+      decision.path = ServingPath::kFollower;
       decision.leader = *leader;
       return decision;
     }
@@ -65,14 +65,14 @@ ServingFrontEnd::Decision ServingFrontEnd::Route(uint64_t ticket,
       // Already past its deadline (queue wait ate the whole budget):
       // launching is certain waste, no prediction needed.
       ++counters_.shed;
-      decision.action = Decision::Action::kShed;
+      decision.path = ServingPath::kShed;
       decision.estimate = predictor_.Estimate(ring);
       return decision;
     }
     const uint64_t probes_before = predictor_.probes();
     if (predictor_.ShouldShed(ring, budget)) {
       ++counters_.shed;
-      decision.action = Decision::Action::kShed;
+      decision.path = ServingPath::kShed;
       decision.estimate = predictor_.Estimate(ring);
       return decision;
     }
@@ -82,7 +82,6 @@ ServingFrontEnd::Decision ServingFrontEnd::Route(uint64_t ticket,
   if (params_.coalesce_window > 0.0) {
     coalescer_.RegisterLeader(key, ticket, k, now);
   }
-  decision.action = Decision::Action::kLaunch;
   return decision;
 }
 

@@ -45,15 +45,13 @@ class ServingFrontEnd {
   ServingFrontEnd(const ServingParams& params, const Rect& field,
                   double max_speed, double radio_range);
 
-  /// What the driver should do with one arriving point-KNN query.
+  /// How the sink should serve one arriving point-KNN query: kDirect
+  /// launches it on the protocol (registered as a leader), kCacheHit
+  /// resolves it now with `candidates`, kFollower parks it until `leader`
+  /// resolves, kShed rejects it (predicted completion misses the
+  /// deadline).
   struct Decision {
-    enum class Action {
-      kLaunch,    ///< Launch on the protocol; query registered as leader.
-      kCacheHit,  ///< Resolve immediately with `candidates`.
-      kFollower,  ///< Park the query; it resolves when `leader` does.
-      kShed,      ///< Reject now; predicted completion misses the deadline.
-    };
-    Action action = Action::kLaunch;
+    ServingPath path = ServingPath::kDirect;
     /// kCacheHit only: views the cache's answer buffer, valid until the
     /// next Route().
     std::span<const KnnCandidate> candidates;
@@ -65,7 +63,7 @@ class ServingFrontEnd {
   /// `sink_pos`) through cache -> coalesce -> admission. `budget` is the
   /// time remaining before the query's deadline: > 0 runs the predictive
   /// shed check, < 0 sheds outright (the deadline already passed while
-  /// the query queued), and exactly 0 means "no deadline". On kLaunch
+  /// the query queued), and exactly 0 means "no deadline". On kDirect
   /// the ticket is registered as the coalesce leader for its cell.
   Decision Route(uint64_t ticket, const Point& q, const Point& sink_pos,
                  int cls, int k, double budget, SimTime now);

@@ -8,6 +8,24 @@
 
 namespace diknn {
 
+namespace {
+
+// Mean of one accuracy field over the records that scored it (0 if none).
+double MeanScored(const std::vector<WorkloadQueryRecord>& records,
+                  double WorkloadQueryRecord::*accuracy) {
+  double sum = 0.0;
+  int n = 0;
+  for (const WorkloadQueryRecord& r : records) {
+    if (r.*accuracy >= 0.0) {
+      sum += r.*accuracy;
+      ++n;
+    }
+  }
+  return n == 0 ? 0.0 : sum / n;
+}
+
+}  // namespace
+
 QueryDriver::QueryDriver(Network* network, GpsrRouting* gpsr,
                          KnnProtocol* protocol, const WorkloadSpec& spec,
                          uint64_t seed, NodeId sink)
@@ -16,7 +34,14 @@ QueryDriver::QueryDriver(Network* network, GpsrRouting* gpsr,
       protocol_(protocol),
       spec_(spec),
       sampler_(spec, network->config().field, network->config().node_count,
-               seed, sink) {
+               seed, sink),
+      // Static fields have zero drift, so the serving cache's validity
+      // time is only capped by the spec's ttl there.
+      sink_(spec, network->config().field,
+            network->config().mobility == MobilityKind::kStatic
+                ? 0.0
+                : network->config().max_speed,
+            network->config().radio_range_m) {
   const auto weight = [&](QueryClass c) {
     return spec_.mix[static_cast<int>(c)];
   };
@@ -36,42 +61,14 @@ QueryDriver::QueryDriver(Network* network, GpsrRouting* gpsr,
   if (weight(QueryClass::kContinuous) > 0.0) {
     continuous_ = std::make_unique<ContinuousKnn>(network_, protocol_);
   }
-  const ServingParams serving_params = spec_.Serving();
-  if (serving_params.Enabled()) {
-    // Static fields have zero drift, so the cache validity time is only
-    // capped by the spec's ttl there.
-    const double max_speed =
-        network_->config().mobility == MobilityKind::kStatic
-            ? 0.0
-            : network_->config().max_speed;
-    serving_ = std::make_unique<ServingFrontEnd>(
-        serving_params, network_->config().field, max_speed,
-        network_->config().radio_range_m);
-  }
 }
 
 double QueryDriver::MeanPreAccuracy() const {
-  double sum = 0.0;
-  int n = 0;
-  for (const WorkloadQueryRecord& r : records_) {
-    if (r.pre_accuracy >= 0.0) {
-      sum += r.pre_accuracy;
-      ++n;
-    }
-  }
-  return n == 0 ? 0.0 : sum / n;
+  return MeanScored(records_, &WorkloadQueryRecord::pre_accuracy);
 }
 
 double QueryDriver::MeanPostAccuracy() const {
-  double sum = 0.0;
-  int n = 0;
-  for (const WorkloadQueryRecord& r : records_) {
-    if (r.post_accuracy >= 0.0) {
-      sum += r.post_accuracy;
-      ++n;
-    }
-  }
-  return n == 0 ? 0.0 : sum / n;
+  return MeanScored(records_, &WorkloadQueryRecord::post_accuracy);
 }
 
 Rect QueryDriver::QueryRect(const Point& center, double side) const {
@@ -91,333 +88,109 @@ double QueryDriver::BoundaryRadius(int k) const {
   return std::sqrt(k * area / (kPi * n));
 }
 
-QueryDriver::Prepared QueryDriver::Draw() {
-  Prepared prep;
-  static_cast<SampledQuery&>(prep) = sampler_.Next();
-  prep.id = next_id_++;
-  prep.arrived_at = network_->sim().Now();
-  return prep;
+Point QueryDriver::SinkPosition(NodeId sink, SimTime /*now*/) {
+  return network_->node(sink)->Position();
 }
 
-void QueryDriver::Admit(Prepared prep) {
-  ++report_.issued;
-  ++report_.issued_by_class[static_cast<int>(prep.cls)];
-  if (tracer_ != nullptr) {
-    prep.trace = tracer_->StartQuery(prep.arrived_at);
+void QueryDriver::Launch(const SinkQuery& query) {
+  if (query.cls == QueryClass::kKnn && score_accuracy_) {
+    truth_pre_[query.id] = network_->TrueKnn(query.q, query.k);
   }
-  if (spec_.max_inflight > 0 && inflight_count_ >= spec_.max_inflight) {
-    if (static_cast<int>(queue_.size()) < spec_.queue_capacity) {
-      if (prep.trace.sampled()) {
-        prep.queue_span =
-            tracer_->BeginSpan(prep.trace, SpanKind::kQueue,
-                               prep.arrived_at, -1, prep.sink);
-      }
-      queue_.push_back(std::move(prep));
-    } else {
-      WorkloadQueryRecord rec;
-      rec.id = prep.id;
-      rec.cls = prep.cls;
-      rec.arrived_at = prep.arrived_at;
-      rec.outcome = QueryOutcome::kRejected;
-      records_.push_back(rec);
-      ++report_.rejected;
-      if (prep.trace.sampled()) {
-        tracer_->CloseTrace(prep.trace.trace_id, prep.arrived_at);
-      }
-    }
-    return;
-  }
-  Launch(std::move(prep));
-}
-
-void QueryDriver::Launch(Prepared prep) {
-  const uint64_t id = prep.id;
-  const SimTime now = network_->sim().Now();
-  if (prep.queue_span != 0) {
-    tracer_->EndSpan(prep.trace.trace_id, prep.queue_span, now);
-  }
-
-  // The serving front end only fronts point-KNN queries: the cache and
-  // the coalescer both reason about a single query point.
-  ServingFrontEnd::Decision decision;
-  Point sink_pos;
-  if (serving_ != nullptr && prep.cls == QueryClass::kKnn) {
-    sink_pos = network_->node(prep.sink)->Position();
-    // Time left before the deadline; < 0 means the queue wait already ate
-    // the whole budget, exactly 0 encodes "no deadline" (see Route()).
-    const double budget =
-        spec_.deadline > 0.0 ? prep.arrived_at + spec_.deadline - now : 0.0;
-    decision = serving_->Route(id, prep.q, sink_pos,
-                               static_cast<int>(prep.cls), prep.k, budget,
-                               now);
-    if (decision.action == ServingFrontEnd::Decision::Action::kShed) {
-      Shed(prep, decision.estimate);
-      return;
-    }
-  }
-
-  Inflight info;
-  info.cls = prep.cls;
-  info.arrived_at = prep.arrived_at;
-  info.launched_at = now;
-  info.queue_wait = now - prep.arrived_at;
-  info.q = prep.q;
-  info.k = prep.k;
-  info.sink_pos = sink_pos;
-  info.trace = prep.trace;
-  if (prep.cls == QueryClass::kKnn && score_accuracy_) {
-    info.truth_pre = network_->TrueKnn(prep.q, prep.k);
-  }
-  inflight_.emplace(id, std::move(info));
-  ++inflight_count_;
-  report_.peak_inflight = std::max(report_.peak_inflight,
-                                   static_cast<uint64_t>(inflight_count_));
-
-  switch (prep.cls) {
+  if (query.path != ServingPath::kDirect) return;  // Served by the sink.
+  const uint64_t id = query.id;
+  // Every class reports its latency and timeout; point-KNN queries also
+  // hand over their answer.
+  const auto resolve = [this, id](
+                           const auto& result,
+                           const std::vector<KnnCandidate>& answer = {}) {
+    sink_.Resolve(id, result.Latency(), result.timed_out, answer,
+                  network_->sim().Now(), *this);
+  };
+  switch (query.cls) {
     case QueryClass::kKnn: {
-      using Action = ServingFrontEnd::Decision::Action;
-      if (decision.action == Action::kCacheHit) {
-        // Answered from the cache: resolves synchronously, zero protocol
-        // latency, no channel traffic.
-        inflight_.at(id).path = ServingPath::kCacheHit;
-        if (prep.trace.sampled()) {
-          tracer_->AddEvent(prep.trace, TraceEventKind::kCacheHit, now, -1,
-                            static_cast<double>(decision.candidates.size()));
-        }
-        std::vector<NodeId> ids;
-        ids.reserve(decision.candidates.size());
-        for (const KnnCandidate& c : decision.candidates) ids.push_back(c.id);
-        Resolve(id, 0.0, false, std::move(ids));
-        break;
-      }
-      if (decision.action == Action::kFollower) {
-        // Parked on the leader's itinerary; ResolveKnnLeader fans the
-        // answer back out when the leader completes (or times out).
-        inflight_.at(id).path = ServingPath::kFollower;
-        if (prep.trace.sampled()) {
-          tracer_->AddEvent(prep.trace, TraceEventKind::kCoalesced, now, -1,
-                            static_cast<double>(decision.leader));
-        }
-        break;
-      }
       // Hand the root context to the protocol for the duration of the
       // launch call: its IssueQuery adopts the ambient trace instead of
       // starting a second one, so protocol phases nest under this root.
-      Tracer::AmbientScope ambient(prep.trace.sampled() ? tracer_ : nullptr,
-                                   prep.trace);
-      protocol_->IssueQuery(prep.sink, prep.q, prep.k,
-                            [this, id](const KnnResult& result) {
-                              ResolveKnnLeader(id, result);
+      Tracer::AmbientScope ambient(
+          query.trace.sampled() ? sink_.tracer() : nullptr, query.trace);
+      protocol_->IssueQuery(query.sink, query.q, query.k,
+                            [resolve](const KnnResult& result) {
+                              resolve(result, result.candidates);
                             });
       break;
     }
     case QueryClass::kKnnBoundary:
       // Range query over the estimated KNN boundary of q: the square
       // circumscribing the radius-R disk that should hold ~k nodes.
-      window_->IssueQuery(prep.sink,
-                          QueryRect(prep.q, 2.0 * BoundaryRadius(prep.k)),
-                          [this, id](const WindowResult& result) {
-                            Resolve(id, result.Latency(), result.timed_out);
-                          });
+      window_->IssueQuery(query.sink,
+                          QueryRect(query.q, 2.0 * BoundaryRadius(query.k)),
+                          resolve);
       break;
     case QueryClass::kWindow:
-      window_->IssueQuery(prep.sink, QueryRect(prep.q, spec_.window_side),
-                          [this, id](const WindowResult& result) {
-                            Resolve(id, result.Latency(), result.timed_out);
-                          });
+      window_->IssueQuery(query.sink, QueryRect(query.q, spec_.window_side),
+                          resolve);
       break;
     case QueryClass::kContinuous:
       continuous_->Subscribe(
-          prep.sink, prep.q, prep.k, spec_.continuous_period,
-          spec_.continuous_rounds, [this, id](const KnnUpdate& update) {
+          query.sink, query.q, query.k, spec_.continuous_period,
+          spec_.continuous_rounds, [this, resolve](const KnnUpdate& update) {
             // The subscription resolves when its last round completes;
             // earlier rounds are progress, not resolution.
             if (update.round + 1 >= spec_.continuous_rounds) {
-              Resolve(id, update.result.Latency(), update.result.timed_out);
+              resolve(update.result);
             }
           });
       break;
     case QueryClass::kAggregate:
-      aggregate_->IssueQuery(prep.sink, QueryRect(prep.q, spec_.window_side),
-                             [this, id](const AggregateResult& result) {
-                               Resolve(id, result.Latency(), result.timed_out);
-                             });
+      aggregate_->IssueQuery(query.sink,
+                             QueryRect(query.q, spec_.window_side), resolve);
       break;
   }
 }
 
-void QueryDriver::Shed(const Prepared& prep, double estimate) {
-  const SimTime now = network_->sim().Now();
-  WorkloadQueryRecord rec;
-  rec.id = prep.id;
-  rec.cls = prep.cls;
-  rec.arrived_at = prep.arrived_at;
-  rec.queue_wait = now - prep.arrived_at;
-  rec.outcome = QueryOutcome::kRejected;
-  rec.path = ServingPath::kShed;
-  records_.push_back(rec);
-  ++report_.rejected;
-  if (prep.trace.sampled()) {
-    tracer_->AddEvent(prep.trace, TraceEventKind::kShed, now, -1, estimate);
-    tracer_->CloseTrace(prep.trace.trace_id, now);
+void QueryDriver::Scored(const SinkQuery& query,
+                         const WorkloadQueryRecord& record,
+                         std::span<const KnnCandidate> answer) {
+  records_.push_back(record);
+  const auto truth = truth_pre_.extract(query.id);
+  if (truth.empty() || truth.mapped().empty()) return;
+  // A follower's answer is its leader's superset, re-pruned around its own
+  // query point and truncated to its own k.
+  std::vector<KnnCandidate> returned(answer.begin(), answer.end());
+  if (query.path == ServingPath::kFollower) {
+    PruneCandidates(&returned, query.q, static_cast<size_t>(query.k));
   }
+  std::vector<NodeId> ids;
+  for (const KnnCandidate& c : returned) ids.push_back(c.id);
+  records_.back().pre_accuracy = Accuracy(ids, truth.mapped());
+  records_.back().post_accuracy =
+      Accuracy(ids, network_->TrueKnn(query.q, query.k));
 }
 
-void QueryDriver::ResolveKnnLeader(uint64_t id, const KnnResult& result) {
-  if (serving_ == nullptr) {
-    Resolve(id, result.Latency(), result.timed_out, result.CandidateIds());
-    return;
-  }
-  const SimTime now = network_->sim().Now();
-  // Snapshot the leader's geometry before Resolve() erases it, then feed
-  // the front end FIRST: the cache entry it seeds and the leader slot it
-  // frees must be visible to any queued query promoted by Resolve().
-  std::vector<QueryCoalescer::Follower> followers;
-  const auto it = inflight_.find(id);
-  if (it != inflight_.end()) {
-    const Inflight& leader = it->second;
-    followers = serving_->OnResolved(
-        id, leader.q, leader.sink_pos, static_cast<int>(leader.cls),
-        leader.k, result.candidates, result.Latency(), result.timed_out, now);
-  }
-  Resolve(id, result.Latency(), result.timed_out, result.CandidateIds());
-  // Fan the leader's answer out: each follower gets the superset
-  // re-pruned around its own query point, truncated to its own k. A
-  // timed-out leader times its followers out too — they rode the same
-  // itinerary — which keeps issued == completed + missed + rejected +
-  // timed_out intact.
-  for (const QueryCoalescer::Follower& f : followers) {
-    const auto fit = inflight_.find(f.ticket);
-    if (fit == inflight_.end()) continue;  // Already finalized.
-    std::vector<KnnCandidate> pruned = result.candidates;
-    PruneCandidates(&pruned, fit->second.q, static_cast<size_t>(f.k));
-    std::vector<NodeId> ids;
-    ids.reserve(pruned.size());
-    for (const KnnCandidate& c : pruned) ids.push_back(c.id);
-    if (fit->second.trace.sampled()) {
-      tracer_->AddEvent(fit->second.trace, TraceEventKind::kFanOut, now, -1,
-                        static_cast<double>(id));
-    }
-    Resolve(f.ticket, now - fit->second.launched_at, result.timed_out,
-            std::move(ids));
-  }
-}
-
-void QueryDriver::Resolve(uint64_t id, double protocol_latency,
-                          bool timed_out, std::vector<NodeId> returned) {
-  auto it = inflight_.find(id);
-  if (it == inflight_.end()) return;  // Already finalized.
-  const Inflight info = std::move(it->second);
-  inflight_.erase(it);
-  --inflight_count_;
-
-  WorkloadQueryRecord rec;
-  rec.id = id;
-  rec.cls = info.cls;
-  rec.arrived_at = info.arrived_at;
-  rec.queue_wait = info.queue_wait;
-  rec.latency = info.queue_wait + protocol_latency;
-  rec.path = info.path;
-  if (timed_out) {
-    rec.outcome = QueryOutcome::kTimedOut;
-    ++report_.timed_out;
-  } else if (spec_.deadline > 0.0 && rec.latency > spec_.deadline) {
-    rec.outcome = QueryOutcome::kDeadlineMissed;
-    ++report_.deadline_missed;
-    report_.latency.Add(rec.latency);
-  } else {
-    rec.outcome = QueryOutcome::kCompleted;
-    ++report_.completed;
-    report_.latency.Add(rec.latency);
-  }
-  if (!info.truth_pre.empty()) {
-    rec.pre_accuracy = Accuracy(returned, info.truth_pre);
-    rec.post_accuracy =
-        Accuracy(returned, network_->TrueKnn(info.q, info.k));
-  }
-  if (info.trace.sampled()) {
-    const SimTime tnow = network_->sim().Now();
-    if (rec.outcome == QueryOutcome::kDeadlineMissed) {
-      tracer_->AddEvent(info.trace, TraceEventKind::kDeadlineMissed, tnow,
-                        -1, rec.latency);
-    }
-    // Idempotent on top of the protocol's own CloseTrace (kKnn class);
-    // the only closer for window / aggregate / continuous classes.
-    tracer_->CloseTrace(info.trace.trace_id, tnow);
-  }
-  records_.push_back(rec);
-
-  // Freed capacity: promote the longest-waiting queued query.
-  while (!queue_.empty() &&
-         (spec_.max_inflight == 0 || inflight_count_ < spec_.max_inflight)) {
-    Prepared next = std::move(queue_.front());
-    queue_.pop_front();
-    Launch(std::move(next));
-  }
-
+void QueryDriver::Settled() {
   if (spec_.arrival == ArrivalKind::kClosedLoop && !finalized_) {
     network_->sim().ScheduleAfter(spec_.think_time,
                                   [this] { StartSession(); });
   }
 }
 
+void QueryDriver::Arrive() {
+  const SimTime now = network_->sim().Now();
+  sink_.Arrive(next_id_++, sampler_.Next(), now, now, *this);
+}
+
 void QueryDriver::ScheduleNextArrival() {
   const SimTime t = network_->sim().Now() + sampler_.NextInterval();
   if (t >= end_time_) return;
   network_->sim().ScheduleAt(t, [this] {
-    Admit(Draw());
+    Arrive();
     ScheduleNextArrival();
   });
 }
 
 void QueryDriver::StartSession() {
   if (finalized_ || network_->sim().Now() >= end_time_) return;
-  Admit(Draw());
-}
-
-void QueryDriver::Finalize() {
-  finalized_ = true;
-  const SimTime now = network_->sim().Now();
-  // Still queued: never launched, so they score as rejections.
-  for (const Prepared& prep : queue_) {
-    WorkloadQueryRecord rec;
-    rec.id = prep.id;
-    rec.cls = prep.cls;
-    rec.arrived_at = prep.arrived_at;
-    rec.queue_wait = now - prep.arrived_at;
-    rec.outcome = QueryOutcome::kRejected;
-    records_.push_back(rec);
-    ++report_.rejected;
-    if (prep.trace.sampled()) {
-      tracer_->CloseTrace(prep.trace.trace_id, now);
-    }
-  }
-  queue_.clear();
-  // Still in flight after the drain: unresolved, so they score as
-  // timeouts. Sorted by id so the record order is platform-independent.
-  std::vector<uint64_t> ids;
-  ids.reserve(inflight_.size());
-  for (const auto& [id, info] : inflight_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (uint64_t id : ids) {
-    const Inflight& info = inflight_.at(id);
-    WorkloadQueryRecord rec;
-    rec.id = id;
-    rec.cls = info.cls;
-    rec.arrived_at = info.arrived_at;
-    rec.queue_wait = info.queue_wait;
-    rec.latency = now - info.arrived_at;
-    rec.outcome = QueryOutcome::kTimedOut;
-    rec.path = info.path;
-    records_.push_back(rec);
-    ++report_.timed_out;
-    if (info.trace.sampled()) {
-      tracer_->CloseTrace(info.trace.trace_id, now);
-    }
-  }
-  inflight_.clear();
-  inflight_count_ = 0;
-  if (serving_ != nullptr) report_.serving = serving_->counters();
+  Arrive();
 }
 
 SloReport QueryDriver::Run(SimTime duration, SimTime drain) {
@@ -432,9 +205,11 @@ SloReport QueryDriver::Run(SimTime duration, SimTime drain) {
     ScheduleNextArrival();
   }
   sim.RunUntil(end_time_ + drain);
-  Finalize();
-  report_.duration = duration;
-  return report_;
+  // Queries still pending returned no answer: they go unscored.
+  finalized_ = true;
+  truth_pre_.clear();
+  sink_.Finalize(sim.Now(), duration, *this);
+  return sink_.report();
 }
 
 }  // namespace diknn

@@ -1,38 +1,30 @@
-// The query-serving workload engine.
+// The query-serving workload engine of the serial stack.
 //
 // A QueryDriver replays a WorkloadSpec against an installed protocol
 // stack: it generates arrivals (open-loop Poisson / fixed-rate, or
 // closed-loop sessions), draws each query's class / k / location from the
-// spec's distributions, applies admission control (reject or queue once
-// the in-flight bound is hit), tracks every in-flight query against its
-// deadline, and scores each one into an SloReport. Everything runs inside
+// spec's distributions, and hands every arrival to the QuerySink, which
+// admits, serves, resolves and scores it into an SloReport
+// (workload/query_sink.h). The driver keeps what only the serial engine
+// has: the arrival events and sessions, the per-class launch on the
+// protocol or the window / aggregate / continuous engines, and the
+// ground-truth accuracy of every scored KNN answer. Everything runs inside
 // the simulator's event loop; the same spec + seed is bit-identical on
 // every machine and at any harness --jobs count.
 //
-// Semantics worth knowing:
-//  - Latency is arrival-to-resolution, so admission queueing counts
-//    against the SLO (as it does in a real serving stack).
-//  - Deadlines are accounting, not cancellation: the protocols have no
-//    abort path (messages already in the air cannot be recalled), so a
-//    late query still completes and is scored kDeadlineMissed.
+// Semantics worth knowing (the rest is the sink's, see query_sink.h):
 //  - A continuous subscription is one issued unit that resolves when its
 //    last round completes; its recorded latency is that round's snapshot
 //    latency plus any queue wait.
-//  - At the end of Run(), queries still queued are scored kRejected and
-//    queries still in flight kTimedOut, so the outcome partition always
-//    sums to the issued count.
-//  - When the spec enables serving stages (cache@ / coalesce@ /
-//    admit@shed), point-KNN launches route through a ServingFrontEnd
-//    first: cache hits resolve synchronously with zero protocol latency,
-//    followers park until their leader's itinerary completes (inheriting
-//    its timeout, answer re-pruned around their own q), and shed queries
-//    score as kRejected (docs/SERVING.md).
+//  - Accuracy is scored against the true KNN at launch (pre) and at
+//    resolution (post); a coalesced follower's answer is its leader's,
+//    re-pruned around its own q and truncated to its own k.
 
 #ifndef DIKNN_WORKLOAD_QUERY_DRIVER_H_
 #define DIKNN_WORKLOAD_QUERY_DRIVER_H_
 
-#include <deque>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -43,30 +35,14 @@
 #include "net/network.h"
 #include "net/sensor_field.h"
 #include "routing/gpsr.h"
-#include "serving/front_end.h"
-#include "workload/latency_histogram.h"
 #include "workload/query_sampler.h"
+#include "workload/query_sink.h"
 #include "workload/workload_spec.h"
 
 namespace diknn {
 
-/// Outcome of one workload query, for tests and per-query analysis.
-struct WorkloadQueryRecord {
-  uint64_t id = 0;          ///< Driver-assigned arrival sequence number.
-  QueryClass cls = QueryClass::kKnn;
-  SimTime arrived_at = 0.0;
-  double queue_wait = 0.0;  ///< Seconds spent in the admission queue.
-  double latency = 0.0;     ///< Arrival to resolution (0 if rejected).
-  QueryOutcome outcome = QueryOutcome::kCompleted;
-  /// How the serving front end handled the query (kDirect when serving
-  /// is off or the query launched its own itinerary).
-  ServingPath path = ServingPath::kDirect;
-  double pre_accuracy = -1.0;   ///< Scored KNN queries only; -1 = unscored.
-  double post_accuracy = -1.0;
-};
-
 /// Drives a WorkloadSpec against a protocol stack.
-class QueryDriver {
+class QueryDriver : private QuerySink::Engine {
  public:
   /// `network`, `gpsr` and `protocol` must outlive the driver, and the
   /// protocol (plus GPSR) must already be installed. `sink` issues every
@@ -85,15 +61,15 @@ class QueryDriver {
   /// on). Costs one TrueKnn scan at issue and one at resolution.
   void set_score_accuracy(bool score) { score_accuracy_ = score; }
 
-  /// Query tracer (not owned; may be null). The driver opens the root
-  /// span at arrival (so admission queueing is a visible kQueue phase),
-  /// hands the context to kKnn protocol launches via the tracer's
-  /// ambient scope, and closes the trace at resolution.
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
+  /// Query tracer (not owned; may be null). The sink opens the root span
+  /// at arrival (so admission queueing is a visible kQueue phase) and
+  /// closes the trace at resolution; the driver hands the context to kKnn
+  /// protocol launches via the tracer's ambient scope.
+  void set_tracer(Tracer* tracer) { sink_.set_tracer(tracer); }
 
-  const SloReport& report() const { return report_; }
+  const SloReport& report() const { return sink_.report(); }
   /// Queries currently in flight (live; the flight recorder samples it).
-  int inflight_count() const { return inflight_count_; }
+  int inflight_count() const { return sink_.inflight(); }
   const std::vector<WorkloadQueryRecord>& records() const {
     return records_;
   }
@@ -115,48 +91,27 @@ class QueryDriver {
 
   /// The serving front end, when the spec enables any of its stages
   /// (cache@ / coalesce@ / admit@shed), else nullptr.
-  const ServingFrontEnd* serving() const { return serving_.get(); }
+  const ServingFrontEnd* serving() const { return sink_.serving(); }
 
  private:
-  /// A drawn-but-not-yet-launched query.
-  struct Prepared : SampledQuery {
-    uint64_t id = 0;
-    SimTime arrived_at = 0.0;
-    TraceContext trace;      ///< Root context; unsampled when not traced.
-    SpanId queue_span = 0;   ///< Open kQueue span while waiting.
-  };
-
-  /// Book-keeping for a launched query.
-  struct Inflight {
-    QueryClass cls = QueryClass::kKnn;
-    SimTime arrived_at = 0.0;
-    SimTime launched_at = 0.0;
-    double queue_wait = 0.0;
-    std::vector<NodeId> truth_pre;  ///< Scored KNN queries only.
-    Point q;
-    int k = 0;
-    Point sink_pos;  ///< Sink position at launch (serving ring lookup).
-    ServingPath path = ServingPath::kDirect;
-    TraceContext trace;
-  };
-
-  Prepared Draw();
   Rect QueryRect(const Point& center, double side) const;
   double BoundaryRadius(int k) const;
 
-  void Admit(Prepared prep);
-  void Launch(Prepared prep);
-  void Resolve(uint64_t id, double protocol_latency, bool timed_out,
-               std::vector<NodeId> returned = {});
-  /// Completion handler for protocol-launched kKnn queries: feeds the
-  /// serving front end, resolves the leader, then fans the answer out to
-  /// its coalesced followers (in attach order).
-  void ResolveKnnLeader(uint64_t id, const KnnResult& result);
-  /// Records a shed query as kRejected (path kShed) without launching.
-  void Shed(const Prepared& prep, double estimate);
+  // QuerySink::Engine.
+  Point SinkPosition(NodeId sink, SimTime now) override;
+  /// Takes the pre-accuracy truth of scored KNN queries, then launches
+  /// direct queries on the protocol or the class's engine.
+  void Launch(const SinkQuery& query) override;
+  /// Scores accuracy and records the outcome.
+  void Scored(const SinkQuery& query, const WorkloadQueryRecord& record,
+              std::span<const KnnCandidate> answer) override;
+  /// Re-arms the closed-loop session the resolution ended.
+  void Settled() override;
+
+  /// Draws the next query and hands it to the sink.
+  void Arrive();
   void ScheduleNextArrival();
   void StartSession();
-  void Finalize();
 
   Network* network_;
   GpsrRouting* gpsr_;
@@ -164,23 +119,20 @@ class QueryDriver {
   WorkloadSpec spec_;
   QuerySampler sampler_;
   bool score_accuracy_ = true;
-  Tracer* tracer_ = nullptr;
 
   // Lazily constructed engines (only when the mix uses them).
   std::unique_ptr<ItineraryWindowQuery> window_;
   std::unique_ptr<SensorField> field_;
   std::unique_ptr<ItineraryAggregateQuery> aggregate_;
   std::unique_ptr<ContinuousKnn> continuous_;
-  std::unique_ptr<ServingFrontEnd> serving_;
 
+  QuerySink sink_;
   SimTime end_time_ = 0.0;   ///< Arrivals stop here.
   bool finalized_ = false;
   uint64_t next_id_ = 1;
-  int inflight_count_ = 0;
-  std::unordered_map<uint64_t, Inflight> inflight_;
-  std::deque<Prepared> queue_;
+  /// True KNN at launch, per scored KNN query still in flight.
+  std::unordered_map<uint64_t, std::vector<NodeId>> truth_pre_;
   std::vector<WorkloadQueryRecord> records_;
-  SloReport report_;
 };
 
 }  // namespace diknn

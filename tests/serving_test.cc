@@ -181,14 +181,13 @@ TEST(ServingFrontEndTest, RouteWalksCacheCoalesceShed) {
                      /*radio_range=*/20.0);
   const Point q{10, 10};
   const Point sink{90, 90};
-  using Action = ServingFrontEnd::Decision::Action;
 
   // Cold: the first query launches and becomes leader.
   auto d1 = fe.Route(1, q, sink, kKnnCls, 3, /*budget=*/4.0, /*now=*/0.0);
-  EXPECT_EQ(d1.action, Action::kLaunch);
+  EXPECT_EQ(d1.path, ServingPath::kDirect);
   // Co-located second query attaches to it.
   auto d2 = fe.Route(2, q, sink, kKnnCls, 3, 4.0, 0.5);
-  EXPECT_EQ(d2.action, Action::kFollower);
+  EXPECT_EQ(d2.path, ServingPath::kFollower);
   EXPECT_EQ(d2.leader, 1u);
 
   // Leader completes: followers pop, the cache is seeded.
@@ -200,12 +199,12 @@ TEST(ServingFrontEndTest, RouteWalksCacheCoalesceShed) {
 
   // Third co-located query hits the cache.
   auto d3 = fe.Route(3, q, sink, kKnnCls, 3, 4.0, 1.5);
-  EXPECT_EQ(d3.action, Action::kCacheHit);
+  EXPECT_EQ(d3.path, ServingPath::kCacheHit);
   EXPECT_EQ(d3.candidates.size(), 3u);
 
   // A query whose deadline already passed is shed outright.
   auto d4 = fe.Route(4, Point{80, 10}, sink, kKnnCls, 3, -0.5, 2.0);
-  EXPECT_EQ(d4.action, Action::kShed);
+  EXPECT_EQ(d4.path, ServingPath::kShed);
 
   const ServingCounters& c = fe.counters();
   EXPECT_EQ(c.cache_hits, 1u);

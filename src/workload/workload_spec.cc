@@ -254,8 +254,18 @@ double WorkloadSpec::TotalWeight() const {
 std::optional<WorkloadSpec> WorkloadSpec::Parse(const std::string& spec,
                                                 std::string* error) {
   WorkloadSpec out;
+  bool admit = false;
   for (const std::string& clause : Split(spec, ';')) {
     if (!ParseClause(clause, &out, error)) return std::nullopt;
+    admit = admit || clause.rfind("admit@", 0) == 0;
+  }
+  // The session count already bounds a closed loop's concurrency, and a
+  // session that admission turned away would never come back: only a
+  // resolution re-arms it.
+  if (admit && out.arrival == ArrivalKind::kClosedLoop) {
+    Fail(error, "closed-loop arrival takes no admit@ clause (sessions=N "
+                "already bounds concurrency)");
+    return std::nullopt;
   }
   return out;
 }

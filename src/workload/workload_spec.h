@@ -40,6 +40,10 @@
 //                                        queries whose predicted completion
 //                                        misses their deadline (needs
 //                                        deadline@s > 0 to bite)
+//                                        Open loop only: a closed-loop
+//                                        spec with an admit@ clause does
+//                                        not parse (sessions=N is its
+//                                        concurrency bound)
 //   cache    ttl=S                       sink-side result cache: TTL cap in
 //                                        seconds (> 0 enables; the
 //                                        effective validity time is
@@ -115,7 +119,7 @@ enum class SpatialKind {
 struct WorkloadSpec {
   ArrivalKind arrival = ArrivalKind::kPoisson;
   double rate = 1.0;        ///< Offered load, queries/s (open loop).
-  int sessions = 8;         ///< Concurrency (closed loop).
+  int sessions = 8;         ///< Concurrency bound (closed loop).
   double think_time = 0.0;  ///< Post-completion pause (closed loop, s).
 
   /// Per-class weights, indexed by QueryClass. Normalized at draw time.
@@ -131,6 +135,7 @@ struct WorkloadSpec {
 
   double deadline = 0.0;  ///< Per-query latency SLO (s); 0 = none.
 
+  // Admission (open loop only: sessions bound a closed loop).
   int max_inflight = 0;    ///< Admission bound; 0 = unbounded.
   int queue_capacity = 0;  ///< Waiting room at the bound; 0 = reject.
   bool admit_shed = false; ///< Deadline-aware shedding (admit@shed=1).

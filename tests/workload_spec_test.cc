@@ -171,6 +171,32 @@ TEST(WorkloadSpecTest, RejectsMalformedSpecs) {
   }
 }
 
+// A closed loop re-arms a session only when its query resolves, so a
+// session whose arrival admission rejected or shed would be gone for
+// good; the session count is the loop's concurrency bound instead.
+TEST(WorkloadSpecTest, ClosedLoopTakesNoAdmitClause) {
+  const char* bad[] = {
+      "arrival@kind=closed,sessions=8,think=0.5;admit@inflight=2,queue=0",
+      "admit@inflight=2,queue=0;arrival@kind=closed,sessions=8",
+      "arrival@kind=closed,sessions=8;deadline@s=1.5;admit@shed=1",
+      "admit@inflight=0;arrival@kind=closed,sessions=4,think=0",
+  };
+  for (const char* s : bad) {
+    std::string error;
+    EXPECT_FALSE(WorkloadSpec::Parse(s, &error).has_value()) << s;
+    EXPECT_NE(error.find("admit@"), std::string::npos) << s << ": " << error;
+  }
+  // Open loops keep their admission clause, and closed loops keep every
+  // other clause.
+  EXPECT_TRUE(WorkloadSpec::Parse(
+                  "arrival@kind=poisson,rate=4;admit@inflight=2,queue=0")
+                  .has_value());
+  EXPECT_TRUE(WorkloadSpec::Parse("arrival@kind=closed,sessions=8;"
+                                  "deadline@s=1.5;cache@ttl=2;"
+                                  "coalesce@window=1")
+                  .has_value());
+}
+
 TEST(WorkloadSpecTest, TimeseriesClauseSetsRecorderCadence) {
   std::string error;
   const auto spec = WorkloadSpec::Parse(

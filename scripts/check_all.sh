@@ -112,6 +112,18 @@ status=0
 [[ "$status" == 2 ]] \
   || { echo "--workload rate=nan: expected exit 2, got $status"; exit 1; }
 echo "--workload rate=nan rejected with exit 2"
+# Numeric flags parse strictly and are range-checked: a zero query
+# interval would otherwise schedule arrivals at one instant forever,
+# "1e3" would read as 1 node, and a loss rate of 2 would run.
+for bad in "--interval 0" "--nodes 1e3" "--loss 2"; do
+  status=0
+  # shellcheck disable=SC2086
+  timeout 10 ./build/tools/diknn-sim $bad --runs 1 >/dev/null 2>&1 \
+    || status=$?
+  [[ "$status" == 2 ]] \
+    || { echo "$bad: expected exit 2, got $status"; exit 1; }
+  echo "$bad rejected with exit 2"
+done
 
 echo "== served-workload smoke =="
 ./build/tools/diknn-sim --runs 1 --duration 30 --nodes 120 --field 90 \

@@ -9,10 +9,14 @@
 //   $ diknn_sim --protocol kpt --speed 30 --csv
 //   $ diknn_sim --protocol diknn --trace /tmp/frames.csv --runs 1
 
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -27,6 +31,11 @@ using namespace diknn;
 void PrintUsage(const char* argv0) {
   std::printf(
       "usage: %s [options]\n"
+      "\n"
+      "Numeric values must be finite and in range: counts >= 1 (--ts-capacity\n"
+      ">= 0), durations, intervals and lengths > 0 (--speed and\n"
+      "--ts-interval >= 0), --loss, --gain and --trace-sample in [0,1].\n"
+      "Anything else exits with code 2.\n"
       "\n"
       "workload:\n"
       "  --protocol NAME   diknn | kpt | peertree | flooding | centralized"
@@ -109,6 +118,57 @@ void PrintUsage(const char* argv0) {
       argv0);
 }
 
+// Numeric flag values are strict: the whole token must parse, only
+// finite numbers pass, and a value outside the flag's range exits 2.
+[[noreturn]] void BadValue(const std::string& flag, const char* text,
+                           const std::string& expected) {
+  std::fprintf(stderr, "%s: expected %s, got '%s'\n", flag.c_str(),
+               expected.c_str(), text);
+  std::exit(2);
+}
+
+int IntFlag(const std::string& flag, const char* text, int lo) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno != 0 || v < lo ||
+      v > std::numeric_limits<int>::max()) {
+    BadValue(flag, text, "an integer >= " + std::to_string(lo));
+  }
+  return static_cast<int>(v);
+}
+
+uint64_t SeedFlag(const std::string& flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (end == text || *end != '\0' || errno != 0 ||
+      std::strchr(text, '-') != nullptr) {
+    BadValue(flag, text, "an unsigned 64-bit integer");
+  }
+  return v;
+}
+
+/// A finite number in [lo, hi]; `expected` names the range in the error.
+double RealFlag(const std::string& flag, const char* text, double lo,
+                double hi, const char* expected) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v < lo ||
+      v > hi) {
+    BadValue(flag, text, expected);
+  }
+  return v;
+}
+
+constexpr double kNoLimit = std::numeric_limits<double>::infinity();
+
+double PositiveFlag(const std::string& flag, const char* text) {
+  const double v = RealFlag(flag, text, 0.0, kNoLimit, "a number > 0");
+  if (v == 0.0) BadValue(flag, text, "a number > 0");
+  return v;
+}
+
 std::optional<ProtocolKind> ParseProtocol(const std::string& name) {
   if (name == "diknn") return ProtocolKind::kDiknn;
   if (name == "kpt") return ProtocolKind::kKptKnnb;
@@ -151,36 +211,34 @@ int main(int argc, char** argv) {
       }
       config.protocol = *kind;
     } else if (arg == "--k") {
-      config.k = std::atoi(next_value());
+      config.k = IntFlag(arg, next_value(), 1);
     } else if (arg == "--runs") {
-      config.runs = std::atoi(next_value());
+      config.runs = IntFlag(arg, next_value(), 1);
     } else if (arg == "--jobs") {
-      config.jobs = std::atoi(next_value());
+      config.jobs = IntFlag(arg, next_value(), 1);
     } else if (arg == "--shards") {
-      config.shards = std::atoi(next_value());
-      if (config.shards < 1) {
-        std::fprintf(stderr, "--shards must be >= 1\n");
-        return 2;
-      }
+      config.shards = IntFlag(arg, next_value(), 1);
     } else if (arg == "--windowed") {
       config.force_windowed = true;
     } else if (arg == "--duration") {
-      config.duration = std::atof(next_value());
+      config.duration = PositiveFlag(arg, next_value());
     } else if (arg == "--seed") {
-      config.base_seed = std::strtoull(next_value(), nullptr, 10);
+      config.base_seed = SeedFlag(arg, next_value());
     } else if (arg == "--interval") {
-      config.query_interval_mean = std::atof(next_value());
+      config.query_interval_mean = PositiveFlag(arg, next_value());
     } else if (arg == "--nodes") {
-      config.network.node_count = std::atoi(next_value());
+      config.network.node_count = IntFlag(arg, next_value(), 1);
     } else if (arg == "--field") {
-      const double side = std::atof(next_value());
+      const double side = PositiveFlag(arg, next_value());
       config.network.field = Rect::Field(side, side);
     } else if (arg == "--speed") {
-      config.network.max_speed = std::atof(next_value());
+      config.network.max_speed =
+          RealFlag(arg, next_value(), 0.0, kNoLimit, "a number >= 0");
     } else if (arg == "--range") {
-      config.network.radio_range_m = std::atof(next_value());
+      config.network.radio_range_m = PositiveFlag(arg, next_value());
     } else if (arg == "--loss") {
-      config.network.loss_rate = std::atof(next_value());
+      config.network.loss_rate =
+          RealFlag(arg, next_value(), 0.0, 1.0, "a number in [0, 1]");
     } else if (arg == "--placement") {
       const std::string name = next_value();
       if (name == "uniform") {
@@ -206,11 +264,12 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--sectors") {
-      config.diknn.num_sectors = std::atoi(next_value());
+      config.diknn.num_sectors = IntFlag(arg, next_value(), 1);
     } else if (arg == "--no-rendezvous") {
       config.diknn.rendezvous = false;
     } else if (arg == "--gain") {
-      config.diknn.assurance_gain = std::atof(next_value());
+      config.diknn.assurance_gain =
+          RealFlag(arg, next_value(), 0.0, 1.0, "a number in [0, 1]");
       config.diknn.mobility_assurance = config.diknn.assurance_gain > 0;
     } else if (arg == "--workload") {
       std::string error;
@@ -237,22 +296,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace-out") {
       trace_out_path = next_value();
     } else if (arg == "--trace-sample") {
-      trace_sample = std::atof(next_value());
-      if (!(*trace_sample >= 0.0 && *trace_sample <= 1.0)) {
-        std::fprintf(stderr, "--trace-sample must be in [0,1]\n");
-        return 2;
-      }
+      trace_sample =
+          RealFlag(arg, next_value(), 0.0, 1.0, "a number in [0, 1]");
     } else if (arg == "--metrics-out") {
       metrics_out_path = next_value();
     } else if (arg == "--ts-interval") {
-      config.ts_interval = std::atof(next_value());
+      config.ts_interval =
+          RealFlag(arg, next_value(), 0.0, kNoLimit, "a number >= 0");
     } else if (arg == "--ts-capacity") {
-      const int cap = std::atoi(next_value());
-      if (cap < 0) {
-        std::fprintf(stderr, "--ts-capacity must be >= 0\n");
-        return 2;
-      }
-      config.ts_capacity = cap;
+      config.ts_capacity = IntFlag(arg, next_value(), 0);
     } else if (arg == "--ts-out") {
       ts_out_path = next_value();
     } else {
@@ -261,11 +313,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (config.k <= 0 || config.runs <= 0 ||
-      config.network.node_count <= 0) {
-    std::fprintf(stderr, "k, runs and nodes must be positive\n");
-    return 2;
-  }
   if (trace_sample.has_value()) {
     config.trace_sample = *trace_sample;
   } else if (!trace_out_path.empty()) {

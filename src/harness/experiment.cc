@@ -89,9 +89,8 @@ ProtocolStack::ProtocolStack(const ExperimentConfig& config, uint64_t seed) {
 
 namespace {
 
-// Copies the simulator's scheduler counters into the run's metrics.
-void FillEngineCounters(const Simulator& sim, RunMetrics* metrics) {
-  const EngineStats& stats = sim.engine_stats();
+// Copies a run's scheduler counters into its metrics.
+void FillEngineCounters(const EngineStats& stats, RunMetrics* metrics) {
   EngineRunCounters& out = metrics->engine;
   out.events_pushed = stats.events_pushed;
   out.events_fired = stats.events_fired;
@@ -103,6 +102,17 @@ void FillEngineCounters(const Simulator& sim, RunMetrics* metrics) {
   out.peak_live = stats.peak_live;
   out.peak_resident = stats.peak_resident;
   out.peak_pool_slots = stats.peak_pool_slots;
+}
+
+// Copies a workload run's SLO report and its latency summary.
+void FillSloMetrics(const SloReport& slo, RunMetrics* metrics) {
+  metrics->slo = slo;
+  metrics->queries = static_cast<int>(slo.issued);
+  metrics->timeouts = static_cast<int>(slo.timed_out);
+  metrics->avg_latency = slo.latency.Mean();
+  metrics->p50_latency = slo.p50();
+  metrics->p95_latency = slo.p95();
+  metrics->p99_latency = slo.p99();
 }
 
 // Freezes the run's named metrics into metrics->obs. Called after every
@@ -189,17 +199,7 @@ void PublishObsMetrics(Network& net, const GpsrRouting& gpsr,
   reg.PublishCounter("lifecycle.violations", metrics->lifecycle_violations);
   reg.PublishCounter("lifecycle.leaked_entries", metrics->leaked_entries);
 
-  // Serving front-end counters (all zero unless the workload spec enables
-  // cache@ / coalesce@ / admit@shed stages).
-  const ServingCounters& sc = metrics->slo.serving;
-  reg.PublishCounter("serving.cache_hits", sc.cache_hits);
-  reg.PublishCounter("serving.cache_misses", sc.cache_misses);
-  reg.PublishCounter("serving.cache_expired", sc.cache_expired);
-  reg.PublishCounter("serving.cache_insertions", sc.cache_insertions);
-  reg.PublishCounter("serving.coalesced", sc.coalesced);
-  reg.PublishCounter("serving.fanned_out", sc.fanned_out);
-  reg.PublishCounter("serving.shed", sc.shed);
-  reg.PublishCounter("serving.shed_probes", sc.shed_probes);
+  PublishServingCounters(metrics->slo.serving, &reg);
 
   // Allocation-free packet plane gate (docs/PACKET_PLANE.md). The net
   // counter is reset at the midpoint of the measured window — after
@@ -412,26 +412,8 @@ RunMetrics RunPsimSubstrate(const ExperimentConfig& config, uint64_t seed) {
   metrics.average_degree = result.average_degree;
   metrics.shards_requested = result.shards_requested;
   metrics.shards_effective = result.shards;
-  if (result.query_ran) {
-    metrics.slo = result.slo;
-    metrics.queries = static_cast<int>(result.slo.issued);
-    metrics.timeouts = static_cast<int>(result.slo.timed_out);
-    metrics.avg_latency = result.slo.latency.Mean();
-    metrics.p50_latency = result.slo.p50();
-    metrics.p95_latency = result.slo.p95();
-    metrics.p99_latency = result.slo.p99();
-  }
-  EngineRunCounters& en = metrics.engine;
-  en.events_pushed = result.engine.events_pushed;
-  en.events_fired = result.engine.events_fired;
-  en.events_cancelled = result.engine.events_cancelled;
-  en.wheel_scheduled = result.engine.wheel_scheduled;
-  en.overflow_scheduled = result.engine.overflow_scheduled;
-  en.inline_callbacks = result.engine.inline_callbacks;
-  en.heap_callbacks = result.engine.heap_callbacks;
-  en.peak_live = result.engine.peak_live;
-  en.peak_resident = result.engine.peak_resident;
-  en.peak_pool_slots = result.engine.peak_pool_slots;
+  if (result.query_ran) FillSloMetrics(result.slo, &metrics);
+  FillEngineCounters(result.engine, &metrics);
   metrics.obs = result.obs;
   metrics.ts = std::move(result.ts);
   return metrics;
@@ -530,29 +512,11 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
                    });
   }
 
-  // Workload-spec path: hand the run to the QueryDriver (concurrent
-  // queries, mixed classes, deadlines, admission control) and score an
-  // SloReport. The driver's stream is seeded like the paper generator's,
-  // but even a knn-only spec does not replay its arrivals:
-  // QuerySampler::Next() also draws a query class for every arrival (at
-  // seed 42 with §5.1 defaults the paper path issues 27 queries and
-  // "arrival@kind=poisson,rate=0.25;k@lo=40" issues 22).
-  if (config.workload.has_value()) {
-    QueryDriver driver(&net, &stack.gpsr(), &stack.protocol(),
-                       *config.workload, WorkloadSeed(seed),
-                       config.static_sink ? 0 : kInvalidNodeId);
-    driver.set_tracer(tracer.get());
-    if (recorder != nullptr) InstallWorkloadProbes(recorder.get(), &driver);
-    metrics.slo = driver.Run(config.duration, config.drain);
-
-    metrics.queries = static_cast<int>(metrics.slo.issued);
-    metrics.timeouts = static_cast<int>(metrics.slo.timed_out);
-    metrics.avg_latency = metrics.slo.latency.Mean();
-    metrics.p50_latency = metrics.slo.p50();
-    metrics.p95_latency = metrics.slo.p95();
-    metrics.p99_latency = metrics.slo.p99();
-    metrics.avg_pre_accuracy = driver.MeanPreAccuracy();
-    metrics.avg_post_accuracy = driver.MeanPostAccuracy();
+  // The tail both query generators share, run once the simulation ends:
+  // energy, degree, faults and lifecycle audit, engine counters, the obs
+  // snapshot (with the `resolved` latencies of the queries that
+  // finished), the flight recording and the trace.
+  const auto finish_run = [&](const std::vector<double>& resolved) {
     metrics.energy_joules =
         (net.TotalEnergy(EnergyCategory::kQuery) - query_baseline) +
         (net.TotalEnergy(EnergyCategory::kMaintenance) -
@@ -569,6 +533,31 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
       metrics.leaked_entries = auditor->FinalResidue();
       if (!auditor->FlowStateBounded()) ++metrics.lifecycle_violations;
     }
+    FillEngineCounters(sim.engine_stats(), &metrics);
+    PublishObsMetrics(net, stack.gpsr(), stack.diknn(), tracer.get(),
+                      resolved, *steady_frames_baseline, &metrics);
+    if (recorder != nullptr) metrics.ts = recorder->series();
+    if (trace_out != nullptr && tracer != nullptr) {
+      *trace_out = tracer->Snapshot();
+    }
+  };
+
+  // Workload-spec path: hand the run to the QueryDriver (concurrent
+  // queries, mixed classes, deadlines, admission control) and score an
+  // SloReport. The driver's stream is seeded like the paper generator's,
+  // but even a knn-only spec does not replay its arrivals:
+  // QuerySampler::Next() also draws a query class for every arrival (at
+  // seed 42 with §5.1 defaults the paper path issues 27 queries and
+  // "arrival@kind=poisson,rate=0.25;k@lo=40" issues 22).
+  if (config.workload.has_value()) {
+    QueryDriver driver(&net, &stack.gpsr(), &stack.protocol(),
+                       *config.workload, WorkloadSeed(seed),
+                       config.static_sink ? 0 : kInvalidNodeId);
+    driver.set_tracer(tracer.get());
+    if (recorder != nullptr) InstallWorkloadProbes(recorder.get(), &driver);
+    FillSloMetrics(driver.Run(config.duration, config.drain), &metrics);
+    metrics.avg_pre_accuracy = driver.MeanPreAccuracy();
+    metrics.avg_post_accuracy = driver.MeanPostAccuracy();
     if (records_out != nullptr) {
       records_out->clear();
       for (const WorkloadQueryRecord& r : driver.records()) {
@@ -581,7 +570,6 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
         records_out->push_back(rec);
       }
     }
-    FillEngineCounters(sim, &metrics);
     std::vector<double> resolved;
     for (const WorkloadQueryRecord& r : driver.records()) {
       if (r.outcome == QueryOutcome::kCompleted ||
@@ -589,13 +577,7 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
         resolved.push_back(r.latency);
       }
     }
-    PublishObsMetrics(net, stack.gpsr(), stack.diknn(),
-                      tracer.get(), resolved, *steady_frames_baseline,
-                      &metrics);
-    if (recorder != nullptr) metrics.ts = recorder->series();
-    if (trace_out != nullptr && tracer != nullptr) {
-      *trace_out = tracer->Snapshot();
-    }
+    finish_run(resolved);
     return metrics;
   }
 
@@ -671,35 +653,12 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
   metrics.p99_latency = tails[2];
   metrics.avg_pre_accuracy = Summarize(pre).mean;
   metrics.avg_post_accuracy = Summarize(post).mean;
-  metrics.energy_joules =
-      (net.TotalEnergy(EnergyCategory::kQuery) - query_baseline) +
-      (net.TotalEnergy(EnergyCategory::kMaintenance) - maintenance_baseline);
-  metrics.beacon_energy_joules =
-      net.TotalEnergy(EnergyCategory::kBeacon) - beacon_baseline;
-  metrics.average_degree = net.AverageDegree();
-  if (injector != nullptr) {
-    metrics.faults_injected = injector->stats().Total();
-  }
-  if (auditor != nullptr) {
-    metrics.lifecycle_checks = auditor->checks();
-    metrics.lifecycle_violations = auditor->violations();
-    metrics.leaked_entries = auditor->FinalResidue();
-    if (!auditor->FlowStateBounded()) ++metrics.lifecycle_violations;
-  }
-
   if (records_out != nullptr) *records_out = *records;
-  FillEngineCounters(sim, &metrics);
   std::vector<double> resolved;
   for (const QueryRecord& r : *records) {
     if (!r.timed_out) resolved.push_back(r.latency);
   }
-  PublishObsMetrics(net, stack.gpsr(), stack.diknn(),
-                    tracer.get(), resolved, *steady_frames_baseline,
-                    &metrics);
-  if (recorder != nullptr) metrics.ts = recorder->series();
-  if (trace_out != nullptr && tracer != nullptr) {
-    *trace_out = tracer->Snapshot();
-  }
+  finish_run(resolved);
   return metrics;
 }
 

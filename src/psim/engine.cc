@@ -607,15 +607,7 @@ MetricsSnapshot PsimEngine::BuildObsSnapshot(
         reg.PublishGauge("workload.peak_inflight",
                          static_cast<double>(slo.peak_inflight),
                          GaugeMode::kMax);
-        const ServingCounters& sc = slo.serving;
-        reg.PublishCounter("serving.cache_hits", sc.cache_hits);
-        reg.PublishCounter("serving.cache_misses", sc.cache_misses);
-        reg.PublishCounter("serving.cache_expired", sc.cache_expired);
-        reg.PublishCounter("serving.cache_insertions", sc.cache_insertions);
-        reg.PublishCounter("serving.coalesced", sc.coalesced);
-        reg.PublishCounter("serving.fanned_out", sc.fanned_out);
-        reg.PublishCounter("serving.shed", sc.shed);
-        reg.PublishCounter("serving.shed_probes", sc.shed_probes);
+        PublishServingCounters(slo.serving, &reg);
       }
     }
     snaps.push_back(reg.Snapshot());

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "obs/metrics_registry.h"
+
 namespace diknn {
 
 QuerySink::QuerySink(const WorkloadSpec& spec, const Rect& field,
@@ -200,6 +202,18 @@ void QuerySink::Finalize(SimTime now, SimTime duration, Engine& engine) {
   report_.duration = duration;
   if (front_end_.has_value()) report_.serving = front_end_->counters();
   assert(report_.Consistent());
+}
+
+void PublishServingCounters(const ServingCounters& counters,
+                            MetricsRegistry* reg) {
+  reg->PublishCounter("serving.cache_hits", counters.cache_hits);
+  reg->PublishCounter("serving.cache_misses", counters.cache_misses);
+  reg->PublishCounter("serving.cache_expired", counters.cache_expired);
+  reg->PublishCounter("serving.cache_insertions", counters.cache_insertions);
+  reg->PublishCounter("serving.coalesced", counters.coalesced);
+  reg->PublishCounter("serving.fanned_out", counters.fanned_out);
+  reg->PublishCounter("serving.shed", counters.shed);
+  reg->PublishCounter("serving.shed_probes", counters.shed_probes);
 }
 
 }  // namespace diknn

@@ -49,6 +49,8 @@
 
 namespace diknn {
 
+class MetricsRegistry;
+
 /// Outcome of one workload query, for tests and per-query analysis.
 struct WorkloadQueryRecord {
   uint64_t id = 0;          ///< Engine-assigned arrival id.
@@ -173,6 +175,11 @@ class QuerySink {
   std::vector<QueryCoalescer::Follower> fanout_;
   SloReport report_;
 };
+
+/// Publishes a run's serving front-end counters as the serving.* rows
+/// (all zero when the workload ran without a front end).
+void PublishServingCounters(const ServingCounters& counters,
+                            MetricsRegistry* reg);
 
 }  // namespace diknn
 

@@ -15,10 +15,10 @@
 // The front end is pure bookkeeping over the engine's deterministic event
 // order: it never draws randomness, schedules events, or touches the
 // network, so any run through it is bit-identical at any --jobs count,
-// traced or untraced. Both engines drive it — the serial QueryDriver and
-// the sharded engine's sink — and remain responsible for SLO accounting
-// and for actually launching / resolving queries; Route() and
-// OnResolved() just tell them what to do. Steady state is allocation-free
+// traced or untraced. Its one caller is the QuerySink both engines share
+// (workload/query_sink.h), which keeps the SLO accounting and has its
+// engine launch and resolve queries; Route() and OnResolved() just tell
+// the sink what to do. Steady state is allocation-free
 // (flat tables, entries and follower lists recycled in place, answers in
 // reusable buffers), so the sharded engine's allocation gate covers it.
 

@@ -1,5 +1,7 @@
 #include "faults/fault_plan.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "faults/fault_injector.h"
@@ -221,6 +223,9 @@ TEST(FaultInjectorTest, DuplicateWindowReairsFramesOnce) {
   FaultInjector injector(&net, *plan, 7);
   injector.Arm();
 
+  int handled = 0;
+  net.node(dst)->RegisterHandler(MessageType::kDiknnForward,
+                                 [&](const Packet&) { ++handled; });
   bool delivered = false;
   net.node(0)->SendUnicast(dst, MessageType::kDiknnForward,
                            std::make_shared<Message>(), 20,
@@ -228,9 +233,44 @@ TEST(FaultInjectorTest, DuplicateWindowReairsFramesOnce) {
                            [&](bool success) { delivered = success; });
   net.sim().RunUntil(net.sim().Now() + 5.0);
 
-  // Duplication must not break delivery (receivers dedup by uid).
+  // Duplication must not break delivery, and the receiver MAC drops the
+  // re-aired copy by uid: the protocol sees the frame once.
   EXPECT_TRUE(delivered);
   EXPECT_GE(injector.stats().frames_duplicated, 1u);
+  EXPECT_EQ(handled, 1);
+  EXPECT_GE(net.node(dst)->mac().stats().duplicates_dropped, 1u);
+}
+
+TEST(FaultInjectorTest, DuplicateWindowReairsBroadcastsOnce) {
+  // No warm-up, so no beacons: the broadcast and its re-aired copy are
+  // the only frames, and every duplicate dropped is that copy's.
+  Network net(SmallConfig());
+  const auto plan = FaultPlan::Parse("dup@t=0,dur=30");
+  ASSERT_TRUE(plan.has_value());
+  FaultInjector injector(&net, *plan, 7);
+  injector.Arm();
+
+  std::vector<int> handled(static_cast<size_t>(net.size()), 0);
+  for (int i = 0; i < net.size(); ++i) {
+    net.node(i)->RegisterHandler(
+        MessageType::kFloodQuery,
+        [&handled, i](const Packet&) { ++handled[static_cast<size_t>(i)]; });
+  }
+  net.node(0)->SendBroadcast(MessageType::kFloodQuery,
+                             std::make_shared<Message>(), 20,
+                             EnergyCategory::kQuery);
+  net.sim().RunUntil(net.sim().Now() + 1.0);
+
+  EXPECT_EQ(injector.stats().frames_duplicated, 1u);
+  int reached = 0;
+  uint64_t dropped = 0;
+  for (int i = 0; i < net.size(); ++i) {
+    EXPECT_LE(handled[static_cast<size_t>(i)], 1) << "node " << i;
+    reached += handled[static_cast<size_t>(i)];
+    dropped += net.node(i)->mac().stats().duplicates_dropped;
+  }
+  EXPECT_GE(reached, 1);
+  EXPECT_GE(dropped, 1u);
 }
 
 TEST(FaultInjectorTest, SameSeedSamePlanIsBitIdentical) {

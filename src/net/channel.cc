@@ -205,9 +205,13 @@ void Channel::Transmit(Node* sender, const Packet& packet) {
     // Re-air an identical copy (same uid) right after this frame clears
     // the air. The replay bypasses the fault hook so a duplicate cannot
     // spawn further duplicates. The copy is parked in a pooled slot so
-    // the event captures only {this, sender, handle}.
+    // the event captures only {this, sender, handle}. Both copies are
+    // marked re-aired before either reaches a receiver, so even a
+    // broadcast's second copy meets the receiver MAC's duplicate window.
     const FrameHandle dup = frames_.Acquire();
-    frames_.Get(dup)->packet = packet;
+    Packet& copy = frames_.Get(dup)->packet;
+    copy = packet;
+    copy.reaired = true;
     sim_->ScheduleAt(end, [this, sender, dup]() {
       ReplayDuplicate(sender, dup);
     });
@@ -223,6 +227,7 @@ void Channel::Transmit(Node* sender, const Packet& packet) {
   const FrameHandle handle = frames_.Acquire();
   InFlightFrame* frame = frames_.Get(handle);
   frame->packet = packet;
+  if (fault.duplicate) frame->packet.reaired = true;
   {
     // Everything below appends to recycled storage — the receiver list,
     // the slot's flags/batch vectors and the per-receiver reception lanes
@@ -261,17 +266,15 @@ void Channel::Transmit(Node* sender, const Packet& packet) {
       }
       ReceptionLane& lane = active_receptions_[slot];
       lane.Compact(now);
-      for (size_t i = 0; i < lane.end_times.size(); ++i) {
+      for (const Reception& other_reception : lane.receptions) {
         frame->flags[index] = 1;
         // A reception still in progress always refers to a live slot (its
         // delivery event has not fired yet).
-        InFlightFrame* other = frames_.Get(lane.frames[i]);
+        InFlightFrame* other = frames_.Get(other_reception.frame);
         assert(other != nullptr);
-        other->flags[lane.flag_indices[i]] = 1;
+        other->flags[other_reception.flag_index] = 1;
       }
-      lane.end_times.push_back(end);
-      lane.frames.push_back(handle);
-      lane.flag_indices.push_back(index);
+      lane.receptions.push_back(Reception{end, handle, index});
 
       // Independent random loss (fading, external interference).
       const bool randomly_lost = rng_.Bernoulli(params_.loss_rate);

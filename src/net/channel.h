@@ -137,9 +137,10 @@ class Channel {
   /// hears it (modeling deep fades and jamming, and in particular forced
   /// MAC ACK loss). A duplicated frame is re-aired once, immediately after
   /// the original finishes, with the same uid (modeling a spurious
-  /// retransmission); the receiver MAC ACKs it again and suppresses the
-  /// second protocol delivery, exactly the lost-ACK fork the protocols
-  /// must survive.
+  /// retransmission). Both copies carry Packet::reaired, so a receiver MAC
+  /// checks even a broadcast against its duplicate window; it ACKs a
+  /// unicast copy again and suppresses the second protocol delivery,
+  /// exactly the lost-ACK fork the protocols must survive.
   struct FrameFault {
     bool drop = false;
     bool duplicate = false;
@@ -193,36 +194,33 @@ class Channel {
   };
   using FrameHandle = FramePool<InFlightFrame>::Handle;
 
-  // In-progress receptions of one receiver, struct-of-arrays: the sweep
-  // and collision scans test `end_times` contiguously and only touch the
-  // parallel arrays on a hit. Entry i of the three arrays describes one
-  // reception: frame `frames[i]`, whose corruption bit is
-  // `flags[flag_indices[i]]`. An entry with end_time > now always refers
-  // to a live pool slot (its delivery event has not fired yet).
+  // One in-progress reception at a receiver: frame `frame` ends at
+  // `end_time`, and the receiver's corruption bit is that frame's
+  // `flags[flag_index]`. An entry with end_time > now always refers to a
+  // live pool slot (its delivery event has not fired yet).
+  struct Reception {
+    SimTime end_time = 0.0;
+    FrameHandle frame = FramePool<InFlightFrame>::kNullHandle;
+    uint32_t flag_index = 0;
+  };
+
+  // In-progress receptions of one receiver, one record each: the
+  // collision loop and Compact read all three fields of every entry, so
+  // they sit together rather than in parallel arrays.
   struct ReceptionLane {
-    std::vector<SimTime> end_times;
-    std::vector<FrameHandle> frames;
-    std::vector<uint32_t> flag_indices;
+    std::vector<Reception> receptions;
 
     // Drops entries whose reception already ended, preserving order.
     void Compact(SimTime now) {
-      size_t kept = 0;
-      for (size_t i = 0; i < end_times.size(); ++i) {
-        if (end_times[i] <= now) continue;
-        end_times[kept] = end_times[i];
-        frames[kept] = frames[i];
-        flag_indices[kept] = flag_indices[i];
-        ++kept;
-      }
-      end_times.resize(kept);
-      frames.resize(kept);
-      flag_indices.resize(kept);
+      std::erase_if(receptions, [now](const Reception& r) {
+        return r.end_time <= now;
+      });
     }
   };
 
-  // Frames currently in the air (carrier sensing), struct-of-arrays for
-  // the same reason: IsBusyAt scans `end_times` first and reads the
-  // origin only for non-expired frames.
+  // Frames currently in the air (carrier sensing), struct-of-arrays:
+  // IsBusyAt scans `end_times` contiguously and reads the origin only for
+  // non-expired frames.
   struct AirLane {
     std::vector<SimTime> end_times;
     std::vector<Point> origins;

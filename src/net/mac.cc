@@ -26,7 +26,7 @@ AllocCounters* Mac::net_allocs() const {
 void Mac::Send(Packet packet, EnergyCategory category,
                SendCallback callback) {
   // uid layout: node id in the high bits keeps uids globally unique, which
-  // the receiver-side duplicate cache relies on.
+  // the receiver-side duplicate window relies on.
   packet.uid = (static_cast<uint64_t>(static_cast<uint32_t>(node_->id()))
                 << 40) |
                ++next_uid_base_;
@@ -201,9 +201,12 @@ bool Mac::FilterReceive(const Packet& packet) {
         });
   }
 
-  // Duplicate suppression (an ACK loss makes the sender retransmit a frame
-  // the protocol layer already saw).
-  if (seen_.CheckAndInsert(packet.uid)) {
+  // Duplicate suppression, for the frames that can arrive twice: a
+  // unicast, which the sender retransmits when its ACK is lost, and a
+  // frame the channel's fault hook re-aired. The MAC airs a plain
+  // broadcast once, so its uid never repeats here and it skips the window.
+  if ((!packet.IsBroadcast() || packet.reaired) &&
+      seen_.CheckAndInsert(packet.uid)) {
     ++stats_.duplicates_dropped;
     return true;
   }

@@ -11,10 +11,14 @@
 //
 // Receivers acknowledge unicast frames addressed to them without CSMA
 // (802.15.4 ACKs follow a fixed turnaround) and suppress duplicate
-// deliveries to the protocol layer via a recent (src, uid) cache.
+// deliveries to the protocol layer with a window of recent uids (uids are
+// globally unique, so the uid alone identifies a frame). Only frames that
+// can reach a receiver twice enter it: unicasts, which a lost ACK makes
+// the sender retransmit, and frames the channel's fault hook re-aired
+// (Packet::reaired). A plain broadcast is aired once and skips it.
 //
 // Steady-state allocation discipline (docs/PACKET_PLANE.md): the outbound
-// FIFO is a flat recycled buffer, the duplicate cache lives inline in the
+// FIFO is a flat recycled buffer, the duplicate window lives inline in the
 // Mac, ACK payloads come from the message pool, and completion callbacks
 // use inline-storage BasicSmallFn — after warmup, queuing / sending /
 // acknowledging a frame performs no heap allocation.
@@ -132,14 +136,15 @@ class Mac {
   // frame mid-retry) recognize themselves and bail out.
   uint64_t csma_generation_ = 0;
 
-  // Duplicate suppression: the last kCapacity uids delivered upward,
-  // FIFO-evicted. `ring_` holds them in arrival order (once full, the
-  // oldest sits at `next_`, the slot the next uid overwrites); `index_` is
-  // an open-addressing table of ring positions keyed by uid (linear
-  // probing, backward-shift erase, kEmpty = free slot). At most half the
-  // slots are ever used, so every probe ends at a free slot. Both arrays
-  // are inline — 3 KB per node, no heap table to set up — so 200 nodes'
-  // windows stay within a 2 MB L2 (docs/PACKET_PLANE.md).
+  // Duplicate suppression: the last kCapacity uids of repeatable frames
+  // (unicasts and re-aired frames) delivered upward, FIFO-evicted.
+  // `ring_` holds them in arrival order (once full, the oldest sits at
+  // `next_`, the slot the next uid overwrites); `index_` is an
+  // open-addressing table of ring positions keyed by uid (linear probing,
+  // backward-shift erase, kEmpty = free slot). At most half the slots are
+  // ever used, so every probe ends at a free slot. Both arrays are
+  // inline: 3 KB per node and no heap table to set up. Plain beacon
+  // receptions never touch them (docs/PACKET_PLANE.md).
   class DuplicateWindow {
    public:
     DuplicateWindow() { index_.fill(kEmpty); }

@@ -101,6 +101,12 @@ struct Packet {
   NodeId src = kInvalidNodeId;       ///< Transmitting node.
   NodeId dst = kBroadcastId;         ///< Receiver id or kBroadcastId.
   MessageType type = MessageType::kBeacon;
+  /// Set by the channel, and only by it, on both copies of a frame its
+  /// fault hook duplicates: such a frame reaches each receiver twice
+  /// with one uid, so the receiver MAC's duplicate window must see it
+  /// even when it is a broadcast (docs/PACKET_PLANE.md). Simulation
+  /// metadata like `category`; it sits in padding after `type`.
+  bool reaired = false;
   size_t size_bytes = 0;             ///< Modeled over-the-air size.
   std::shared_ptr<const Message> payload;
   uint64_t uid = 0;                  ///< Unique per logical frame; retries

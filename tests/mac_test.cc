@@ -32,14 +32,17 @@ class MacTest : public ::testing::Test {
     }
   }
 
-  // Hands node 0's MAC a broadcast frame carrying `uid`, as the channel
-  // would; true when the MAC drops it as a duplicate.
-  bool Offer(uint64_t uid) {
+  // Hands node 0's MAC a frame carrying `uid` from node 1, as the channel
+  // would; true when the MAC drops it as a duplicate. By default the frame
+  // is a broadcast the fault hook re-aired, so it meets the duplicate
+  // window; `dst` and `reaired` make other kinds of frame.
+  bool Offer(uint64_t uid, NodeId dst = kBroadcastId, bool reaired = true) {
     Packet packet;
     packet.src = 1;
-    packet.dst = kBroadcastId;
+    packet.dst = dst;
     packet.type = MessageType::kBeacon;
     packet.uid = uid;
+    packet.reaired = reaired;
     return nodes_[0]->mac().FilterReceive(packet);
   }
 
@@ -227,6 +230,21 @@ TEST_F(MacTest, DuplicateWindowHoldsTheLast256DeliveredUids) {
   EXPECT_TRUE(Offer(uid(2)));
   EXPECT_FALSE(Offer(uid(1)));
   EXPECT_EQ(nodes_[0]->mac().stats().duplicates_dropped, 3u);
+}
+
+TEST_F(MacTest, PlainBroadcastsDoNotAgeTheDuplicateWindow) {
+  // A plain broadcast is aired once, so it never enters the window: 300
+  // of them (more than the window holds) must not evict a unicast uid,
+  // whose retransmission is still dropped.
+  Build({{0, 0}, {10, 0}});
+  const auto uid = [](uint64_t seq) { return (uint64_t{1} << 40) | seq; };
+  const uint64_t unicast = uid(0);
+  EXPECT_FALSE(Offer(unicast, /*dst=*/0));
+  for (uint64_t seq = 1; seq <= 300; ++seq) {
+    EXPECT_FALSE(Offer(uid(seq), kBroadcastId, /*reaired=*/false));
+  }
+  EXPECT_TRUE(Offer(unicast, /*dst=*/0));
+  EXPECT_EQ(nodes_[0]->mac().stats().duplicates_dropped, 1u);
 }
 
 TEST_F(MacTest, DuplicateWindowMatchesFifoSetModel) {

@@ -16,8 +16,10 @@
 # whose Chrome-trace and metrics JSON are validated with python3 — the
 # metrics must report zero steady-state packet-plane allocations
 # (net.allocs == 0, net.alloc_per_frame == 0; see docs/PACKET_PLANE.md),
-# a frame-log smoke of `diknn-sim --trace`, a CLI validation check, and
-# the repo benchmark's smoke mode (benchmark/run.sh --smoke).
+# the same allocation gate on a dup@ fault-plan run, which must also drop
+# re-aired copies (mac.duplicates_dropped > 0), a frame-log smoke of
+# `diknn-sim --trace`, a CLI validation check, and the repo benchmark's
+# smoke mode (benchmark/run.sh --smoke).
 #
 # Usage: scripts/check_all.sh
 set -euo pipefail
@@ -88,6 +90,30 @@ print("trace + metrics JSON well-formed; net.allocs == 0")
 PY
 else
   echo "python3 not found; skipping JSON validation"
+fi
+
+echo "== faulted smoke (dup@ plan) =="
+# Under dup@ the channel re-airs frames, and re-aired broadcasts are the
+# only broadcasts the MAC checks against its duplicate window: the copies
+# must be dropped (mac.duplicates_dropped > 0) while the packet plane
+# stays allocation-free (net.allocs == 0).
+./build/tools/diknn-sim --runs 1 --duration 20 --nodes 120 --field 90 \
+  --faults 'dup@t=0,dur=20,prob=0.5' --metrics-out "$obs_dir/dup.json" \
+  >/dev/null
+if command -v python3 >/dev/null; then
+  python3 - "$obs_dir/dup.json" <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
+    counters = json.load(f)["counters"]
+allocs = counters.get("net.allocs")
+dropped = counters.get("mac.duplicates_dropped", 0)
+if allocs != 0 or dropped <= 0:
+    raise SystemExit("faulted smoke: expected net.allocs == 0 and "
+                     f"mac.duplicates_dropped > 0, got {allocs} / {dropped}")
+print(f"faulted smoke: net.allocs == 0, mac.duplicates_dropped = {dropped}")
+PY
+else
+  echo "python3 not found; skipping faulted-smoke validation"
 fi
 
 echo "== frame-log smoke (diknn-sim --trace) =="

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/alloc_probe.h"
+#include "core/splitmix.h"
 
 namespace diknn {
 
@@ -37,10 +38,7 @@ namespace diknn {
 /// pure-identity hashing would turn into long probe clusters.
 struct FlatHash {
   size_t operator()(uint64_t x) const {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return static_cast<size_t>(x ^ (x >> 31));
+    return static_cast<size_t>(SplitMix64(x));
   }
 };
 

@@ -3,27 +3,16 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/splitmix.h"
+
 namespace diknn {
 
-namespace {
-
-// SplitMix64: used to expand the user seed into PCG's (state, inc) pair so
-// that small consecutive seeds still produce decorrelated streams.
-uint64_t SplitMix64(uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 Rng::Rng(uint64_t seed) {
-  uint64_t sm = seed;
-  state_ = SplitMix64(sm);
-  inc_ = SplitMix64(sm) | 1ULL;  // Stream selector must be odd.
-  NextUint32();                  // Warm up past the seed-correlated state.
+  // Two SplitMix64 steps expand the user seed into PCG's (state, inc)
+  // pair, so small consecutive seeds still produce decorrelated streams.
+  state_ = SplitMix64(seed);
+  inc_ = SplitMix64(seed + kSplitMixGamma) | 1ULL;  // Must be odd.
+  NextUint32();  // Warm up past the seed-correlated state.
 }
 
 uint32_t Rng::NextUint32() {

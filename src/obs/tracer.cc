@@ -3,21 +3,9 @@
 #include <algorithm>
 
 #include "core/alloc_probe.h"
+#include "core/splitmix.h"
 
 namespace diknn {
-
-namespace {
-
-// splitmix64 finalizer: uniform enough for a sampling threshold test and
-// fully deterministic from (counter, seed).
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* SpanKindName(SpanKind kind) {
   switch (kind) {
@@ -75,7 +63,7 @@ TraceContext Tracer::StartQuery(SimTime now) {
   const uint64_t counter = arrivals_++;
   const bool sampled =
       sample_rate_ >= 1.0 ||
-      (sample_rate_ > 0.0 && Mix64(counter ^ seed_) < sample_threshold_);
+      (sample_rate_ > 0.0 && SplitMix64(counter ^ seed_) < sample_threshold_);
   if (!sampled) return TraceContext{};
 
   // Span storage is observability overhead, not protocol work: suspend

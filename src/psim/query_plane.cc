@@ -24,6 +24,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/splitmix.h"
 #include "knn/itinerary.h"
 #include "psim/shard.h"
 #include "routing/greedy.h"
@@ -33,15 +34,8 @@ namespace diknn {
 
 namespace {
 
-// splitmix64 finalizer (same mixer as the substrate's frame-loss hash,
-// under a different salt so the two planes draw independent streams).
-uint64_t QMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
+// Salts the query plane's loss hash apart from the substrate's, so the
+// two planes draw independent streams from the same mixer.
 constexpr uint64_t kQueryLossSalt = 0x0051D5EC7ull;
 
 bool RangeClass(QueryClass cls) {
@@ -295,11 +289,11 @@ void PsimShard::ApplyQueryFrame(const PsimQueryFrame& f, uint64_t k,
 }
 
 bool PsimShard::QueryLossDraw(const PsimQueryFrame& f) const {
-  uint64_t h = QMix64(world_->config.seed ^
-                      QMix64(kQueryLossSalt ^
-                             (static_cast<uint64_t>(f.sender) << 32 |
-                              f.seq)));
-  h = QMix64(h ^ (static_cast<uint64_t>(f.dest) << 8) ^ f.retries);
+  uint64_t h = SplitMix64(world_->config.seed ^
+                          SplitMix64(kQueryLossSalt ^
+                                     (static_cast<uint64_t>(f.sender) << 32 |
+                                      f.seq)));
+  h = SplitMix64(h ^ (static_cast<uint64_t>(f.dest) << 8) ^ f.retries);
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   return u < world_->config.loss_rate;
 }

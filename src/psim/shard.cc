@@ -4,22 +4,13 @@
 #include <cassert>
 #include <cstdlib>
 
+#include "core/splitmix.h"
 #include "net/beacon.h"
 #include "net/packet.h"
 
 namespace diknn {
 
 namespace {
-
-// splitmix64 finalizer: the same mixer FlatHash uses, applied to seed
-// material so per-node and per-shard streams are decorrelated even
-// though node ids and shard ids are sequential.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 // How often the sweep runs an ownership audit probe: one owned node is
 // spot-checked every 1-in-8 sweeps on average (shard RNG; never affects
@@ -61,13 +52,13 @@ PsimStats& PsimStats::operator+=(const PsimStats& o) {
 }
 
 uint64_t PsimShard::ShardSeed(uint64_t run_seed, int shard_id) {
-  return Mix64(run_seed ^
-               Mix64(0x51A2Dull + static_cast<uint64_t>(shard_id)));
+  return SplitMix64(run_seed ^
+                    SplitMix64(0x51A2Dull + static_cast<uint64_t>(shard_id)));
 }
 
 uint64_t PsimShard::NodeSeed(uint64_t run_seed, uint32_t node,
                              uint32_t lane) {
-  return Mix64(run_seed ^ Mix64((uint64_t{node} << 8) | lane));
+  return SplitMix64(run_seed ^ SplitMix64((uint64_t{node} << 8) | lane));
 }
 
 PsimShard::PsimShard(PsimWorld* world, int id)
@@ -577,8 +568,8 @@ bool PsimShard::LossDraw(const PsimFrame& f, uint32_t receiver) const {
   // shared RNG stream makes the outcome independent of delivery order
   // and of which shard performs it.
   const uint64_t uid = (uint64_t{f.sender} << 32) | f.seq;
-  const uint64_t h =
-      Mix64(world_->config.seed ^ Mix64(uid) ^ Mix64(0xD1CEull + receiver));
+  const uint64_t h = SplitMix64(world_->config.seed ^ SplitMix64(uid) ^
+                                SplitMix64(0xD1CEull + receiver));
   const double u =
       static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);  // 2^-53
   return u < world_->config.loss_rate;

@@ -61,8 +61,6 @@ class FieldPartition {
   /// neighbor entirely), so the effective shard count is clamped to what
   /// (nx / kMinTileSpan) x (ny / kMinTileSpan) tiles can grant.
   static constexpr int kMinTileSpan = 3;
-  /// Historical name from the strips-only engine; same constant.
-  static constexpr int kMinStripColumns = kMinTileSpan;
 
   FieldPartition(const PsimNetParams& params, int requested_shards);
 
@@ -108,8 +106,6 @@ class FieldPartition {
   int OwnerOfCell(int32_t cell) const {
     return OwnerAt(ColumnOf(cell), RowOf(cell));
   }
-  /// Strip-mode convenience (tiles_y() == 1): the owner of a column.
-  int OwnerOfColumn(int column) const { return col_tile_[column]; }
 
   /// Inclusive column range [first, last] of `shard`'s tile.
   std::pair<int, int> ColumnRange(int shard) const {
@@ -120,21 +116,6 @@ class FieldPartition {
   std::pair<int, int> RowRange(int shard) const {
     const int ty = shard / tiles_x_;
     return {tile_first_row_[ty], tile_first_row_[ty] + tile_rows_[ty] - 1};
-  }
-
-  /// True when a frame whose origin falls in `column` must also be
-  /// handed to the shard west (resp. east) of the column's owner: its
-  /// 2-cell interference reach extends into that neighbor's tile.
-  /// `column` may lie one column outside the owner's tile (a node's
-  /// true position can drift one cell past its bucket).
-  bool NeedsWestNeighbor(int column, int owner) const {
-    const int tx = owner % tiles_x_;
-    return tx > 0 && column <= tile_first_col_[tx] + 1;
-  }
-  bool NeedsEastNeighbor(int column, int owner) const {
-    const int tx = owner % tiles_x_;
-    return tx + 1 < tiles_x_ &&
-           column >= tile_first_col_[tx] + tile_cols_[tx] - 2;
   }
 
   /// Adjacent shards of `shard` (8-neighborhood over tiles), in ascending

@@ -34,7 +34,7 @@ namespace diknn {
 namespace {
 
 // A field wide enough for 8 genuine strips: 560 m / 22.5 m cells ->
-// nx = 25 columns >= 8 * kMinStripColumns.
+// nx = 25 columns >= 8 * kMinTileSpan.
 PsimConfig WideConfig() {
   PsimConfig config;
   config.node_count = 1024;

@@ -59,9 +59,7 @@ TEST(FieldPartitionTest, OwnershipTotalAndDisjoint) {
           EXPECT_TRUE(covered.insert({c, r}).second)
               << "cell (" << c << ", " << r << ") owned twice";
           EXPECT_EQ(part.OwnerAt(c, r), s);
-          if (part.tiles_y() == 1) {
-            EXPECT_EQ(part.OwnerOfColumn(c), s);  // Strip-mode alias.
-          }
+          EXPECT_EQ(part.OwnerOfCell(r * part.nx() + c), s);
         }
       }
     }
@@ -141,8 +139,9 @@ TEST(FieldPartitionTest, CellOfClampsAndMapsToOwner) {
   EXPECT_EQ(part.ColumnOf(part.CellOf({1e9, 0.0})), part.nx() - 1);
   for (double x : {0.0, 100.0, 280.0, 430.0, 559.9}) {
     const int32_t cell = part.CellOf({x, 57.0});
-    EXPECT_EQ(part.OwnerOfCell(cell),
-              part.OwnerOfColumn(part.ColumnOf(cell)));
+    const auto [first, last] = part.ColumnRange(part.OwnerOfCell(cell));
+    EXPECT_GE(part.ColumnOf(cell), first);
+    EXPECT_LE(part.ColumnOf(cell), last);
   }
 }
 
@@ -175,31 +174,40 @@ TEST(FieldPartitionTest, RefreshPeriodIsWholeWindows) {
   EXPECT_EQ(FieldPartition(slow, 2).refresh_windows(), 1);
 }
 
-// --- Boundary-mailing predicate: only frames within the drift-extended
-// --- border band cross a shard boundary, and edge shards never mail
-// --- off the field.
+// --- Boundary mailing: only frames within the drift-extended border
+// --- band reach a neighbor shard, and edge shards never mail off the
+// --- field. Checked through FrameRecipients, the rule the engine runs.
 
 TEST(FieldPartitionTest, BoundaryPredicateCoversDriftBand) {
   FieldPartition part(WideParams(560.0, 115.0), 4);
   ASSERT_EQ(part.shards(), 4);
+  ASSERT_EQ(part.tiles_y(), 1);
+  // The shards a frame from `column` (row 0) of shard s's strip reaches.
+  const auto recipients = [&part](int column, int s) {
+    std::array<int, 8> out;
+    const int n = part.FrameRecipients(column, s, &out);
+    return std::set<int>(out.begin(), out.begin() + n);
+  };
+  const int last_shard = part.shards() - 1;
   for (int s = 0; s < part.shards(); ++s) {
     const auto [first, last] = part.ColumnRange(s);
-    EXPECT_EQ(part.NeedsWestNeighbor(first, s), s > 0);
-    EXPECT_EQ(part.NeedsWestNeighbor(first + 1, s), s > 0);
-    EXPECT_EQ(part.NeedsEastNeighbor(last, s), s + 1 < part.shards());
-    EXPECT_EQ(part.NeedsEastNeighbor(last - 1, s), s + 1 < part.shards());
-    // A drifted frame one column outside the strip still mails inward.
-    if (s > 0) {
-      EXPECT_TRUE(part.NeedsWestNeighbor(first - 1, s));
+    // The first two columns reach the west neighbor, the last two the
+    // east one; a frame drifted one column outside the strip still does.
+    for (int c = s > 0 ? first - 1 : first; c <= first + 1; ++c) {
+      EXPECT_EQ(recipients(c, s).count(s - 1), s > 0 ? 1u : 0u) << c;
     }
-    if (s + 1 < part.shards()) {
-      EXPECT_TRUE(part.NeedsEastNeighbor(last + 1, s));
+    for (int c = last - 1; c <= (s < last_shard ? last + 1 : last); ++c) {
+      EXPECT_EQ(recipients(c, s).count(s + 1), s < last_shard ? 1u : 0u)
+          << c;
+    }
+    for (int c = first; c <= last; ++c) {
+      for (int r : recipients(c, s)) {
+        EXPECT_TRUE(r == s - 1 || r == s + 1) << "shard " << s << " -> " << r;
+      }
     }
     // Interior columns of a wide-enough strip stay local.
     if (last - first >= 4) {
-      const int mid = (first + last) / 2;
-      EXPECT_FALSE(part.NeedsWestNeighbor(mid, s));
-      EXPECT_FALSE(part.NeedsEastNeighbor(mid, s));
+      EXPECT_TRUE(recipients((first + last) / 2, s).empty());
     }
   }
 }

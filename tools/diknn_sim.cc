@@ -19,6 +19,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "harness/experiment.h"
 #include "obs/trace_sink.h"
@@ -51,7 +52,12 @@ void PrintUsage(const char* argv0) {
       "                    beacons plus — with --workload — the full\n"
       "                    query plane; SLO report and traffic counters\n"
       "                    equal at any shard count; total threads =\n"
-      "                    jobs x shards\n"
+      "                    jobs x shards. That engine runs its own DIKNN\n"
+      "                    emulation on a uniform field, so it exits 2\n"
+      "                    on --protocol other than diknn, --faults,\n"
+      "                    --audit, --placement other than uniform,\n"
+      "                    --mobility group, --trace, --trace-out,\n"
+      "                    --trace-sample, --no-rendezvous and --gain\n"
       "  --windowed        run the windowed parallel engine even at\n"
       "                    --shards 1 (the single-shard baseline for\n"
       "                    cross-shard comparisons)\n"
@@ -189,6 +195,7 @@ int main(int argc, char** argv) {
   std::string metrics_out_path;
   std::string ts_out_path;
   std::optional<double> trace_sample;
+  bool gain_set = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -271,6 +278,7 @@ int main(int argc, char** argv) {
       config.diknn.assurance_gain =
           RealFlag(arg, next_value(), 0.0, 1.0, "a number in [0, 1]");
       config.diknn.mobility_assurance = config.diknn.assurance_gain > 0;
+      gain_set = true;
     } else if (arg == "--workload") {
       std::string error;
       const auto spec = WorkloadSpec::Parse(next_value(), &error);
@@ -311,6 +319,35 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown option %s (try --help)\n", arg.c_str());
       return 2;
     }
+  }
+
+  if (config.shards > 1 || config.force_windowed) {
+    // The windowed engine reads none of these: refuse them rather than
+    // run something else under their name.
+    const std::pair<bool, const char*> serial_only[] = {
+        {config.protocol != ProtocolKind::kDiknn, "--protocol"},
+        {!config.faults.empty(), "--faults"},
+        {config.audit_lifecycle, "--audit"},
+        {config.network.placement != PlacementKind::kUniform,
+         "--placement"},
+        {config.network.mobility == MobilityKind::kGroup, "--mobility group"},
+        {!trace_path.empty(), "--trace"},
+        {!trace_out_path.empty(), "--trace-out"},
+        {trace_sample.has_value(), "--trace-sample"},
+        {!config.diknn.rendezvous, "--no-rendezvous"},
+        {gain_set, "--gain"},
+    };
+    bool rejected = false;
+    for (const auto& [given, flag] : serial_only) {
+      if (!given) continue;
+      std::fprintf(stderr,
+                   "%s: the windowed engine (--shards > 1, --windowed) "
+                   "would ignore it; it runs its own DIKNN emulation on a "
+                   "uniform field, without faults, audit or traces\n",
+                   flag);
+      rejected = true;
+    }
+    if (rejected) return 2;
   }
 
   if (trace_sample.has_value()) {

@@ -150,6 +150,18 @@ for bad in "--interval 0" "--nodes 1e3" "--loss 2"; do
     || { echo "$bad: expected exit 2, got $status"; exit 1; }
   echo "$bad rejected with exit 2"
 done
+# The windowed engine runs its own DIKNN emulation on a uniform field
+# without faults: a flag it would ignore exits 2 rather than mislabel
+# the run.
+for bad in "--shards 2 --protocol kpt" "--windowed --faults kill@t=1,count=5"; do
+  status=0
+  # shellcheck disable=SC2086
+  timeout 10 ./build/tools/diknn-sim $bad --runs 1 >/dev/null 2>&1 \
+    || status=$?
+  [[ "$status" == 2 ]] \
+    || { echo "$bad: expected exit 2, got $status"; exit 1; }
+  echo "$bad rejected with exit 2"
+done
 
 echo "== served-workload smoke =="
 ./build/tools/diknn-sim --runs 1 --duration 30 --nodes 120 --field 90 \
@@ -175,8 +187,11 @@ echo "== flight-recorder smoke =="
 # JSON with at least one non-empty deterministic series, byte-identical
 # across --jobs, and its deterministic section byte-identical between
 # the 1-shard windowed engine and a 4-shard run (docs/OBSERVABILITY.md
-# "Time series & flight recorder"). Both sharded runs must also keep every
-# worker thread's steady state allocation-free (net.allocs == 0).
+# "Time series & flight recorder"). The serial and the windowed
+# recording of the spec must carry the same workload.* / serving.*
+# series names: the shared query sink installs them on both engines.
+# Both sharded runs must also keep every worker thread's steady state
+# allocation-free (net.allocs == 0).
 ts_workload='arrival@kind=poisson,rate=8;k@lo=6,hi=10;deadline@s=2;admit@inflight=24,queue=12'
 ./build/tools/diknn-sim --runs 2 --jobs 1 --duration 20 --nodes 120 --field 90 \
   --workload "$ts_workload" --ts-interval 1 --ts-out "$obs_dir/ts_jobs1.json"
@@ -202,11 +217,18 @@ for path in sys.argv[1:]:
     series = doc["series"]
     if not any(s["v"] for s in series.values()):
         raise SystemExit(f"{path}: no non-empty deterministic series")
-a, b = (json.load(open(p)) for p in sys.argv[2:4])
+serial, a, b = (json.load(open(p)) for p in sys.argv[1:4])
+def sink_series(doc):
+    return sorted(n for n in doc["series"]
+                  if n.startswith(("workload.", "serving.")))
+if sink_series(serial) != sink_series(a):
+    raise SystemExit("workload/serving series differ between engines: "
+                     f"serial {sink_series(serial)}, windowed {sink_series(a)}")
 if (a["series"], a["annotations"]) != (b["series"], b["annotations"]):
     raise SystemExit("deterministic series differ across shard counts")
 print(f"flight recording OK: {len(series)} deterministic series, "
-      "bit-identical across --jobs and --shards")
+      "bit-identical across --jobs and --shards; "
+      f"{len(sink_series(serial))} workload/serving series on both engines")
 PY
   # The sharded engine's allocation gate with the recorder and the query
   # plane on: every worker thread's steady state must be allocation-free.

@@ -89,21 +89,6 @@ ProtocolStack::ProtocolStack(const ExperimentConfig& config, uint64_t seed) {
 
 namespace {
 
-// Copies a run's scheduler counters into its metrics.
-void FillEngineCounters(const EngineStats& stats, RunMetrics* metrics) {
-  EngineRunCounters& out = metrics->engine;
-  out.events_pushed = stats.events_pushed;
-  out.events_fired = stats.events_fired;
-  out.events_cancelled = stats.events_cancelled;
-  out.wheel_scheduled = stats.wheel_scheduled;
-  out.overflow_scheduled = stats.overflow_scheduled;
-  out.inline_callbacks = stats.inline_callbacks;
-  out.heap_callbacks = stats.heap_callbacks;
-  out.peak_live = stats.peak_live;
-  out.peak_resident = stats.peak_resident;
-  out.peak_pool_slots = stats.peak_pool_slots;
-}
-
 // Copies a workload run's SLO report and its latency summary.
 void FillSloMetrics(const SloReport& slo, RunMetrics* metrics) {
   metrics->slo = slo;
@@ -186,7 +171,7 @@ void PublishObsMetrics(Network& net, const GpsrRouting& gpsr,
     reg.PublishCounter("diknn.dead_node_drops", ds.dead_node_drops);
   }
 
-  const EngineRunCounters& en = metrics->engine;
+  const EngineStats& en = metrics->engine;
   reg.PublishCounter("engine.events_pushed", en.events_pushed);
   reg.PublishCounter("engine.events_fired", en.events_fired);
   reg.PublishCounter("engine.events_cancelled", en.events_cancelled);
@@ -199,7 +184,7 @@ void PublishObsMetrics(Network& net, const GpsrRouting& gpsr,
   reg.PublishCounter("lifecycle.violations", metrics->lifecycle_violations);
   reg.PublishCounter("lifecycle.leaked_entries", metrics->leaked_entries);
 
-  PublishServingCounters(metrics->slo.serving, &reg);
+  PublishSinkMetrics(metrics->slo, &reg);
 
   // Allocation-free packet plane gate (docs/PACKET_PLANE.md). The net
   // counter is reset at the midpoint of the measured window — after
@@ -235,8 +220,6 @@ void PublishObsMetrics(Network& net, const GpsrRouting& gpsr,
 
   reg.PublishGauge("run.energy_joules", metrics->energy_joules,
                    GaugeMode::kSum);
-  reg.PublishGauge("run.peak_inflight",
-                   static_cast<double>(metrics->slo.peak_inflight));
 
   const MetricId lat_hist = reg.RegisterHistogram("query.latency_s");
   for (double v : latencies) reg.Observe(lat_hist, v);
@@ -287,16 +270,13 @@ void InstallNetProbes(FlightRecorder* rec, Network* net) {
   TimeSeries* collision_rate = rec->AddSeries("net.collision_rate");
   TimeSeries* loss_rate = rec->AddSeries("net.loss_rate");
   TimeSeries* mac_tx_per_s = rec->AddSeries("mac.tx_attempts_per_s");
-  const double interval = rec->options().interval;
-  rec->AddProbe([state, net, interval, frames_per_s, airtime_share,
-                 collision_rate, loss_rate, mac_tx_per_s](double t) {
+  rec->AddProbe([state, net, frames_per_s, airtime_share, collision_rate,
+                 loss_rate, mac_tx_per_s](double t, double span) {
     const ChannelStats& ch = net->channel().stats();
     const uint64_t attempted = state->attempted.Take(ch.receptions_attempted);
     frames_per_s->Append(
-        t, static_cast<double>(state->frames.Take(ch.frames_sent)) /
-               interval);
-    airtime_share->Append(t,
-                          (ch.airtime_s - state->prev_airtime) / interval);
+        t, static_cast<double>(state->frames.Take(ch.frames_sent)) / span);
+    airtime_share->Append(t, (ch.airtime_s - state->prev_airtime) / span);
     state->prev_airtime = ch.airtime_s;
     collision_rate->Append(
         t, SafeRate(state->collided.Take(ch.receptions_collided), attempted));
@@ -305,68 +285,7 @@ void InstallNetProbes(FlightRecorder* rec, Network* net) {
     uint64_t tx = 0;
     for (Node* node : net->AllNodes()) tx += node->mac().stats().tx_attempts;
     mac_tx_per_s->Append(
-        t, static_cast<double>(state->mac_tx.Take(tx)) / interval);
-  });
-}
-
-// Workload / serving series from the live SloReport (counts update at
-// every resolution; the per-interval percentiles come from bucket-count
-// subtraction, so they stay integer-derived and deterministic).
-void InstallWorkloadProbes(FlightRecorder* rec, const QueryDriver* driver) {
-  struct State {
-    SloReport prev;
-    ServingCounters prev_serving;
-  };
-  auto state = std::make_shared<State>();
-  state->prev = driver->report();
-  if (driver->serving() != nullptr) {
-    state->prev_serving = driver->serving()->counters();
-  }
-
-  TimeSeries* issued_per_s = rec->AddSeries("workload.issued_per_s");
-  TimeSeries* goodput = rec->AddSeries("workload.goodput_qps");
-  TimeSeries* p50_ms = rec->AddSeries("workload.p50_ms");
-  TimeSeries* p99_ms = rec->AddSeries("workload.p99_ms");
-  TimeSeries* miss_rate = rec->AddSeries("workload.miss_rate");
-  TimeSeries* reject_rate = rec->AddSeries("workload.reject_rate");
-  TimeSeries* timeout_rate = rec->AddSeries("workload.timeout_rate");
-  TimeSeries* inflight = rec->AddSeries("workload.inflight");
-  const bool serving = driver->serving() != nullptr;
-  TimeSeries* cache_hit_rate =
-      serving ? rec->AddSeries("serving.cache_hit_rate") : nullptr;
-  TimeSeries* coalesce_rate =
-      serving ? rec->AddSeries("serving.coalesce_rate") : nullptr;
-  TimeSeries* shed_per_s =
-      serving ? rec->AddSeries("serving.shed_per_s") : nullptr;
-  const double interval = rec->options().interval;
-  rec->AddProbe([state, driver, interval, issued_per_s, goodput, p50_ms,
-                 p99_ms, miss_rate, reject_rate, timeout_rate, inflight,
-                 cache_hit_rate, coalesce_rate, shed_per_s](double t) {
-    const SloReport& now = driver->report();
-    const SloReport& prev = state->prev;
-    const uint64_t issued = now.issued - prev.issued;
-    issued_per_s->Append(t, static_cast<double>(issued) / interval);
-    goodput->Append(
-        t, static_cast<double>(now.completed - prev.completed) / interval);
-    p50_ms->Append(t, 1e3 * now.latency.DeltaPercentile(prev.latency, 50.0));
-    p99_ms->Append(t, 1e3 * now.latency.DeltaPercentile(prev.latency, 99.0));
-    miss_rate->Append(
-        t, SafeRate(now.deadline_missed - prev.deadline_missed, issued));
-    reject_rate->Append(t, SafeRate(now.rejected - prev.rejected, issued));
-    timeout_rate->Append(t, SafeRate(now.timed_out - prev.timed_out, issued));
-    inflight->Append(t, static_cast<double>(driver->inflight_count()));
-    if (driver->serving() != nullptr) {
-      const ServingCounters& sc = driver->serving()->counters();
-      const ServingCounters& sp = state->prev_serving;
-      const uint64_t hits = sc.cache_hits - sp.cache_hits;
-      const uint64_t misses = sc.cache_misses - sp.cache_misses;
-      cache_hit_rate->Append(t, SafeRate(hits, hits + misses));
-      coalesce_rate->Append(t, SafeRate(sc.coalesced - sp.coalesced, issued));
-      shed_per_s->Append(
-          t, static_cast<double>(sc.shed - sp.shed) / interval);
-      state->prev_serving = sc;
-    }
-    state->prev = now;
+        t, static_cast<double>(state->mac_tx.Take(tx)) / span);
   });
 }
 
@@ -413,7 +332,7 @@ RunMetrics RunPsimSubstrate(const ExperimentConfig& config, uint64_t seed) {
   metrics.shards_requested = result.shards_requested;
   metrics.shards_effective = result.shards;
   if (result.query_ran) FillSloMetrics(result.slo, &metrics);
-  FillEngineCounters(result.engine, &metrics);
+  metrics.engine = result.engine;
   metrics.obs = result.obs;
   metrics.ts = std::move(result.ts);
   return metrics;
@@ -533,7 +452,7 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
       metrics.leaked_entries = auditor->FinalResidue();
       if (!auditor->FlowStateBounded()) ++metrics.lifecycle_violations;
     }
-    FillEngineCounters(sim.engine_stats(), &metrics);
+    metrics.engine = sim.engine_stats();
     PublishObsMetrics(net, stack.gpsr(), stack.diknn(), tracer.get(),
                       resolved, *steady_frames_baseline, &metrics);
     if (recorder != nullptr) metrics.ts = recorder->series();
@@ -554,7 +473,7 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
                        *config.workload, WorkloadSeed(seed),
                        config.static_sink ? 0 : kInvalidNodeId);
     driver.set_tracer(tracer.get());
-    if (recorder != nullptr) InstallWorkloadProbes(recorder.get(), &driver);
+    if (recorder != nullptr) InstallSinkProbes(recorder.get(), &driver.sink());
     FillSloMetrics(driver.Run(config.duration, config.drain), &metrics);
     metrics.avg_pre_accuracy = driver.MeanPreAccuracy();
     metrics.avg_post_accuracy = driver.MeanPostAccuracy();

@@ -20,6 +20,7 @@
 
 #include "obs/metrics_registry.h"
 #include "obs/timeseries.h"
+#include "sim/event_queue.h"
 #include "workload/latency_histogram.h"
 
 namespace diknn {
@@ -31,30 +32,6 @@ struct QueryRecord {
   double pre_accuracy = 0.0;
   double post_accuracy = 0.0;
   bool timed_out = false;
-};
-
-/// Scheduler-engine counters of one run (from Simulator::engine_stats()):
-/// event churn, wheel-vs-overflow split, callback storage split, and the
-/// run's peak scheduler footprint. Diagnostics of the scheduler's own
-/// bookkeeping; bench_engine reports the same counters.
-struct EngineRunCounters {
-  uint64_t events_pushed = 0;
-  uint64_t events_fired = 0;
-  uint64_t events_cancelled = 0;
-  uint64_t wheel_scheduled = 0;     ///< Pushes inside the wheel horizon.
-  uint64_t overflow_scheduled = 0;  ///< Pushes parked in the overflow heap.
-  uint64_t inline_callbacks = 0;    ///< Callbacks stored without allocation.
-  uint64_t heap_callbacks = 0;
-  uint64_t peak_live = 0;           ///< Peak live (pending) events.
-  uint64_t peak_resident = 0;       ///< Peak resident entries (live + not-
-                                    ///< yet-reclaimed cancelled).
-  uint64_t peak_pool_slots = 0;     ///< Slab pool high-water mark.
-
-  /// Fraction of pushes served by the wheel tier (0 when none).
-  double WheelFraction() const {
-    const uint64_t total = wheel_scheduled + overflow_scheduled;
-    return total > 0 ? static_cast<double>(wheel_scheduled) / total : 0.0;
-  }
 };
 
 /// Aggregated outcome of one simulation run.
@@ -84,8 +61,9 @@ struct RunMetrics {
   /// driven by a WorkloadSpec (ExperimentConfig::workload); empty (issued
   /// == 0) on paper-style runs.
   SloReport slo;
-  /// Scheduler counters for the run.
-  EngineRunCounters engine;
+  /// Scheduler counters for the run (Simulator::engine_stats(); psim
+  /// runs merge their shards' with MergeEngineStats).
+  EngineStats engine;
   /// Named observability metrics published at the end of the run
   /// (channel / MAC / GPSR / protocol / engine / tracer counters plus the
   /// query-latency histogram). Merged across runs in seed order, so the

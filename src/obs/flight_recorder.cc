@@ -20,7 +20,7 @@ void FlightRecorder::ScheduleTicks(Simulator* sim, double start,
     void Arm(double at) {
       if (at > end) return;
       sim->ScheduleAt(at, [chain = *this, at]() mutable {
-        chain.recorder->Tick(at);
+        chain.recorder->Tick(at, chain.interval);
         chain.Arm(at + chain.interval);
       });
     }

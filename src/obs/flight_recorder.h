@@ -17,7 +17,8 @@
 //  * Parallel engine (psim): the engine calls Tick() from its barrier
 //    completion step — a natural global sync point where every shard is
 //    quiescent, so cross-shard sums are race-free and, for sim-time
-//    derived counters, partition-invariant.
+//    derived counters, partition-invariant. Ticks land on window
+//    boundaries, so the span a sample covers is passed in by the engine.
 //
 // Delta helpers (CounterDelta / RatioDelta) keep the per-interval math in
 // integers until the final division, preserving bit-identity across
@@ -74,26 +75,31 @@ class FlightRecorder {
     return set_.Add(name, diagnostic);
   }
 
-  /// Registers a sampling probe, called once per tick with the sample's
-  /// sim time. Probes run in registration order.
-  void AddProbe(std::function<void(double)> probe) {
-    probes_.push_back(std::move(probe));
-  }
+  /// A sampling probe, called once per tick with the sample's sim time
+  /// `t` and the `span` of sim time the sample covers (t minus the
+  /// previous tick, or minus the recording's start). Per-second rates
+  /// divide by `span`.
+  using Probe = std::function<void(double t, double span)>;
+
+  /// Registers a probe. Probes run in registration order.
+  void AddProbe(Probe probe) { probes_.push_back(std::move(probe)); }
 
   /// Records a point event on the timeline (fault kill/revive edges).
   void Annotate(double t, std::string label, double value = 0.0) {
     set_.Annotate(t, std::move(label), value);
   }
 
-  /// Runs every probe at sample time `t`. Idempotence is the probes'
-  /// concern (each tick appends exactly one sample per series).
-  void Tick(double t) {
-    for (auto& probe : probes_) probe(t);
+  /// Runs every probe at sample time `t` for a sample covering `span`.
+  /// Idempotence is the probes' concern (each tick appends exactly one
+  /// sample per series).
+  void Tick(double t, double span) {
+    for (Probe& probe : probes_) probe(t, span);
   }
 
   /// Serial-engine driver: schedules ticks at start+i*interval for
-  /// i = 1.. while the tick time stays <= end. The events only read
-  /// simulation state, so traffic is bit-identical to an untracked run.
+  /// i = 1.. while the tick time stays <= end, each covering exactly
+  /// `interval`. The events only read simulation state, so traffic is
+  /// bit-identical to an untracked run.
   void ScheduleTicks(Simulator* sim, double start, double end);
 
   const TimeSeriesSet& series() const { return set_; }
@@ -101,7 +107,7 @@ class FlightRecorder {
 
  private:
   TimeSeriesSet set_;
-  std::vector<std::function<void(double)>> probes_;
+  std::vector<Probe> probes_;
 };
 
 }  // namespace diknn

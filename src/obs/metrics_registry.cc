@@ -1,7 +1,6 @@
 #include "obs/metrics_registry.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -23,63 +22,6 @@ const char* MetricKindName(MetricKind kind) {
     case MetricKind::kHistogram: return "histogram";
   }
   return "?";
-}
-
-// ---------------------------------------------------------------------------
-// MetricsHistogram
-
-int MetricsHistogram::BucketOf(double value) {
-  if (!(value > kMinValue)) return 0;
-  const int bucket = static_cast<int>(
-      std::log2(value / kMinValue) * kBucketsPerOctave);
-  return std::clamp(bucket, 0, kNumBuckets - 1);
-}
-
-double MetricsHistogram::BucketMidpoint(int bucket) {
-  return kMinValue *
-         std::exp2((bucket + 0.5) / static_cast<double>(kBucketsPerOctave));
-}
-
-void MetricsHistogram::Add(double value) {
-  value = std::max(value, 0.0);
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  sum_ += value;
-  ++buckets_[BucketOf(value)];
-}
-
-void MetricsHistogram::Merge(const MetricsHistogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  for (int i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
-}
-
-double MetricsHistogram::Percentile(double p) const {
-  if (count_ == 0) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  const uint64_t rank = std::max<uint64_t>(
-      1, static_cast<uint64_t>(std::ceil(p / 100.0 * count_)));
-  uint64_t seen = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    seen += buckets_[i];
-    if (seen >= rank) {
-      return std::clamp(BucketMidpoint(i), min_, max_);
-    }
-  }
-  return max_;
 }
 
 // ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@
 #ifndef DIKNN_OBS_METRICS_REGISTRY_H_
 #define DIKNN_OBS_METRICS_REGISTRY_H_
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/log_histogram.h"
 
 namespace diknn {
 
@@ -43,42 +44,10 @@ const char* MetricKindName(MetricKind kind);
 using MetricId = int32_t;
 inline constexpr MetricId kInvalidMetricId = -1;
 
-/// Log-spaced streaming histogram over [0, +inf). Same merge discipline
-/// as LatencyHistogram (integer bucket counts add), but with a wider
-/// span so it can hold latencies, hop counts, or byte sizes alike.
-class MetricsHistogram {
- public:
-  static constexpr double kMinValue = 1e-6;
-  static constexpr int kBucketsPerOctave = 4;
-  /// 40 octaves cover [1e-6, ~1.1e6); outliers land in clamp buckets but
-  /// exact min/max are kept, so percentiles stay inside observed range.
-  static constexpr int kNumBuckets = 160;
-
-  void Add(double value);
-  void Merge(const MetricsHistogram& other);
-
-  uint64_t Count() const { return count_; }
-  double Sum() const { return sum_; }
-  double Mean() const { return count_ == 0 ? 0.0 : sum_ / count_; }
-  double Min() const { return count_ == 0 ? 0.0 : min_; }
-  double Max() const { return count_ == 0 ? 0.0 : max_; }
-
-  /// Nearest-rank percentile from the bucket midpoint, clamped to the
-  /// observed [Min, Max]. 0 when empty.
-  double Percentile(double p) const;
-
-  bool operator==(const MetricsHistogram&) const = default;
-
- private:
-  static int BucketOf(double value);
-  static double BucketMidpoint(int bucket);
-
-  std::array<uint64_t, kNumBuckets> buckets_ = {};
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
+/// Histogram of a registered metric: 4 buckets per octave over 40
+/// octaves, [1e-6, ~1.1e6), wide enough for latencies, hop counts or byte
+/// sizes alike. Same merge discipline as SloReport's LatencyHistogram.
+using MetricsHistogram = LogHistogram<1e-6, 4, 160>;
 
 /// Frozen, name-sorted view of one registry (or a merge of several).
 struct MetricsSnapshot {

@@ -11,6 +11,7 @@
 #include "net/beacon.h"
 #include "net/packet.h"
 #include "obs/flight_recorder.h"
+#include "workload/query_sink.h"
 
 namespace diknn {
 
@@ -247,8 +248,6 @@ PsimResult PsimEngine::Run() {
   const bool ts_on = config_.ts.enabled();
   struct TsState {
     CounterDelta frames, attempted, collided, lost, qp_hops;
-    SloReport prev_slo;
-    ServingCounters prev_serving;
     double prev_t = 0.0;
     double next_sample_t = 0.0;
     uint64_t prev_k = 0;
@@ -265,7 +264,7 @@ PsimResult PsimEngine::Run() {
     TimeSeries* collision_rate = recorder.AddSeries("net.collision_rate");
     TimeSeries* loss_rate = recorder.AddSeries("net.loss_rate");
     recorder.AddProbe([this, &ts_state, frames_per_s, airtime_share,
-                       collision_rate, loss_rate](double t) {
+                       collision_rate, loss_rate](double t, double span) {
       uint64_t frames = 0, attempted = 0, collided = 0, lost = 0;
       for (const std::unique_ptr<PsimShard>& sh : shards_) {
         const PsimStats& st = sh->stats();
@@ -274,70 +273,28 @@ PsimResult PsimEngine::Run() {
         collided += st.receptions_collided;
         lost += st.receptions_lost;
       }
-      const double dt = t - ts_state.prev_t;
       const uint64_t df = ts_state.frames.Take(frames);
       const uint64_t da = ts_state.attempted.Take(attempted);
-      frames_per_s->Append(t, dt > 0.0 ? df / dt : 0.0);
+      frames_per_s->Append(t, span > 0.0 ? df / span : 0.0);
       airtime_share->Append(
-          t, dt > 0.0 ? df * world_->frame_air_time / dt : 0.0);
+          t, span > 0.0 ? df * world_->frame_air_time / span : 0.0);
       collision_rate->Append(t, SafeRate(ts_state.collided.Take(collided),
                                          da));
       loss_rate->Append(t, SafeRate(ts_state.lost.Take(lost), da));
     });
     if (config_.query.enabled) {
+      // The query plane's own series; the sink's come from the installer
+      // both engines share.
       TimeSeries* hops_per_s = recorder.AddSeries("qp.hops_per_s");
-      TimeSeries* issued_per_s = recorder.AddSeries("workload.issued_per_s");
-      TimeSeries* goodput = recorder.AddSeries("workload.goodput_qps");
-      TimeSeries* p50_ms = recorder.AddSeries("workload.p50_ms");
-      TimeSeries* p99_ms = recorder.AddSeries("workload.p99_ms");
-      TimeSeries* miss_rate = recorder.AddSeries("workload.miss_rate");
-      TimeSeries* reject_rate = recorder.AddSeries("workload.reject_rate");
-      TimeSeries* timeout_rate = recorder.AddSeries("workload.timeout_rate");
-      TimeSeries* cache_hit_rate =
-          recorder.AddSeries("serving.cache_hit_rate");
-      TimeSeries* coalesce_rate = recorder.AddSeries("serving.coalesce_rate");
-      TimeSeries* shed_per_s = recorder.AddSeries("serving.shed_per_s");
-      recorder.AddProbe([this, &ts_state, hops_per_s, issued_per_s, goodput,
-                         p50_ms, p99_ms, miss_rate, reject_rate,
-                         timeout_rate, cache_hit_rate, coalesce_rate,
-                         shed_per_s](double t) {
+      recorder.AddProbe([this, &ts_state, hops_per_s](double t, double span) {
         uint64_t hops = 0;
         for (const std::unique_ptr<PsimShard>& sh : shards_) {
           hops += sh->stats().qp.hops;
         }
-        const double dt = t - ts_state.prev_t;
         hops_per_s->Append(
-            t, dt > 0.0 ? ts_state.qp_hops.Take(hops) / dt : 0.0);
-        const SloReport& now = world_->query.sink->report();
-        const SloReport& prev = ts_state.prev_slo;
-        const uint64_t issued = now.issued - prev.issued;
-        issued_per_s->Append(t, dt > 0.0 ? issued / dt : 0.0);
-        goodput->Append(
-            t, dt > 0.0 ? (now.completed - prev.completed) / dt : 0.0);
-        p50_ms->Append(t,
-                       1e3 * now.latency.DeltaPercentile(prev.latency, 50.0));
-        p99_ms->Append(t,
-                       1e3 * now.latency.DeltaPercentile(prev.latency, 99.0));
-        miss_rate->Append(
-            t, SafeRate(now.deadline_missed - prev.deadline_missed, issued));
-        reject_rate->Append(t, SafeRate(now.rejected - prev.rejected,
-                                        issued));
-        timeout_rate->Append(t, SafeRate(now.timed_out - prev.timed_out,
-                                         issued));
-        const ServingFrontEnd* front_end = world_->query.sink->serving();
-        const ServingCounters sc = front_end != nullptr
-                                       ? front_end->counters()
-                                       : ServingCounters{};
-        const ServingCounters& sp = ts_state.prev_serving;
-        const uint64_t hits = sc.cache_hits - sp.cache_hits;
-        const uint64_t misses = sc.cache_misses - sp.cache_misses;
-        cache_hit_rate->Append(t, SafeRate(hits, hits + misses));
-        coalesce_rate->Append(t, SafeRate(sc.coalesced - sp.coalesced,
-                                          issued));
-        shed_per_s->Append(t, dt > 0.0 ? (sc.shed - sp.shed) / dt : 0.0);
-        ts_state.prev_serving = sc;
-        ts_state.prev_slo = now;
+            t, span > 0.0 ? ts_state.qp_hops.Take(hops) / span : 0.0);
       });
+      InstallSinkProbes(&recorder, &*world_->query.sink);
     }
     // Per-shard health diagnostics: wall-clock shares and live mailbox
     // occupancy. Partition-dependent by nature (busy_s precedent) —
@@ -350,7 +307,7 @@ PsimResult PsimEngine::Run() {
           ShardMetricName(s, "mbox_frames"), /*diagnostic=*/true);
       TimeSeries* migrations = recorder.AddSeries(
           ShardMetricName(s, "migrations_in"), /*diagnostic=*/true);
-      recorder.AddProbe([sh, busy_share, mbox, migrations](double t) {
+      recorder.AddProbe([sh, busy_share, mbox, migrations](double t, double) {
         const double total = sh->live_busy_s + sh->live_wait_s;
         busy_share->Append(t, total > 0.0 ? sh->live_busy_s / total : 0.0);
         size_t depth = 0;
@@ -364,7 +321,7 @@ PsimResult PsimEngine::Run() {
     }
     TimeSeries* windows_per_s =
         recorder.AddSeries("psim.windows_per_s", /*diagnostic=*/true);
-    recorder.AddProbe([&ts_state, windows_per_s](double t) {
+    recorder.AddProbe([&ts_state, windows_per_s](double t, double) {
       const auto now_wall = std::chrono::steady_clock::now();
       const double wall_dt = Seconds(now_wall - ts_state.prev_wall);
       ts_state.prev_wall = now_wall;
@@ -387,7 +344,7 @@ PsimResult PsimEngine::Run() {
     // The completion step runs on whichever worker arrives last, under
     // that worker's AllocScope: the recorder's growth belongs to no shard.
     AllocScopePause recorder_growth;
-    recorder.Tick(t);
+    recorder.Tick(t, t - ts_state.prev_t);
     ts_state.prev_t = t;
     ts_state.prev_k = k;
     ts_state.next_sample_t =
@@ -594,21 +551,8 @@ MetricsSnapshot PsimEngine::BuildObsSnapshot(
       reg.PublishCounter(ShardMetricName(sid, "qp_hops"), qs.hops);
       reg.PublishCounter(ShardMetricName(sid, "qp_boundary_frames"),
                          qs.boundary_frames);
-      if (s == 0) {
-        // The sink's SLO and serving tallies are not shard stats;
-        // publish them once so the merged snapshot carries the same rows
-        // the serial harness emits.
-        const SloReport& slo = result.slo;
-        reg.PublishCounter("workload.issued", slo.issued);
-        reg.PublishCounter("workload.completed", slo.completed);
-        reg.PublishCounter("workload.deadline_missed", slo.deadline_missed);
-        reg.PublishCounter("workload.rejected", slo.rejected);
-        reg.PublishCounter("workload.timed_out", slo.timed_out);
-        reg.PublishGauge("workload.peak_inflight",
-                         static_cast<double>(slo.peak_inflight),
-                         GaugeMode::kMax);
-        PublishServingCounters(slo.serving, &reg);
-      }
+      // The sink's rows are not shard stats: publish them once.
+      if (s == 0) PublishSinkMetrics(result.slo, &reg);
     }
     snaps.push_back(reg.Snapshot());
   }

@@ -1,87 +1,9 @@
 #include "workload/latency_histogram.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 namespace diknn {
-
-int LatencyHistogram::BucketOf(double latency) {
-  if (!(latency > kMinLatency)) return 0;
-  const int bucket = static_cast<int>(
-      std::log2(latency / kMinLatency) * kBucketsPerOctave);
-  return std::clamp(bucket, 0, kNumBuckets - 1);
-}
-
-double LatencyHistogram::BucketMidpoint(int bucket) {
-  // Geometric midpoint of [lo, lo * 2^(1/8)).
-  return kMinLatency *
-         std::exp2((bucket + 0.5) / static_cast<double>(kBucketsPerOctave));
-}
-
-void LatencyHistogram::Add(double latency) {
-  latency = std::max(latency, 0.0);
-  if (count_ == 0) {
-    min_ = max_ = latency;
-  } else {
-    min_ = std::min(min_, latency);
-    max_ = std::max(max_, latency);
-  }
-  ++count_;
-  sum_ += latency;
-  ++buckets_[BucketOf(latency)];
-}
-
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  for (int i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
-}
-
-double LatencyHistogram::Percentile(double p) const {
-  if (count_ == 0) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  // Rank of the sample holding the percentile (nearest-rank definition).
-  const uint64_t rank = std::max<uint64_t>(
-      1, static_cast<uint64_t>(std::ceil(p / 100.0 * count_)));
-  uint64_t seen = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    seen += buckets_[i];
-    if (seen >= rank) {
-      return std::clamp(BucketMidpoint(i), min_, max_);
-    }
-  }
-  return max_;
-}
-
-double LatencyHistogram::DeltaPercentile(const LatencyHistogram& prev,
-                                         double p) const {
-  const uint64_t delta_count = count_ - std::min(count_, prev.count_);
-  if (delta_count == 0) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  const uint64_t rank = std::max<uint64_t>(
-      1, static_cast<uint64_t>(std::ceil(p / 100.0 * delta_count)));
-  uint64_t seen = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    const uint64_t in_window =
-        buckets_[i] - std::min(buckets_[i], prev.buckets_[i]);
-    seen += in_window;
-    if (seen >= rank) {
-      // The window's exact min/max are not retained, so clamp to the
-      // whole-run observed range (a superset of the window's).
-      return std::clamp(BucketMidpoint(i), min_, max_);
-    }
-  }
-  return max_;
-}
 
 const char* QueryOutcomeName(QueryOutcome outcome) {
   switch (outcome) {

@@ -1,11 +1,8 @@
 // Streaming latency accounting for the workload engine.
 //
-// A LatencyHistogram is a fixed set of logarithmically spaced buckets
-// (constant relative resolution, like HdrHistogram's coarse mode):
-// recording is O(1), memory is constant, and two histograms merge by
-// adding bucket counts — which is what makes multi-run SLO reports
-// bit-identical at any --jobs setting (counts are integers; no
-// order-dependent floating point accumulates across runs).
+// A LatencyHistogram is the log-bucketed obs/log_histogram.h histogram
+// over seconds: two merge by adding bucket counts, which is what makes
+// multi-run SLO reports bit-identical at any --jobs setting.
 //
 // An SloReport is the serving-side scorecard of one workload run: the
 // outcome partition (completed / deadline-missed / rejected / timed-out
@@ -19,57 +16,15 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/log_histogram.h"
 #include "serving/serving_types.h"
 #include "workload/workload_spec.h"
 
 namespace diknn {
 
-/// Log-spaced streaming histogram over (0, +inf) seconds. Buckets span
-/// [kMinLatency, kMaxLatency) at 8 buckets per octave (~9% relative
-/// resolution); values outside the span land in clamp buckets but keep
-/// exact min/max, so Percentile() never invents a value outside the
-/// observed range.
-class LatencyHistogram {
- public:
-  static constexpr double kMinLatency = 1e-3;   ///< 1 ms.
-  static constexpr double kMaxLatency = 128.0;  ///< > any query timeout.
-  static constexpr int kBucketsPerOctave = 8;
-  /// ceil(log2(kMaxLatency / kMinLatency)) * kBucketsPerOctave = 17 * 8.
-  static constexpr int kNumBuckets = 136;
-
-  /// Records one latency (seconds).
-  void Add(double latency);
-
-  /// Adds another histogram's counts into this one.
-  void Merge(const LatencyHistogram& other);
-
-  uint64_t Count() const { return count_; }
-  double Mean() const { return count_ == 0 ? 0.0 : sum_ / count_; }
-  double Min() const { return count_ == 0 ? 0.0 : min_; }
-  double Max() const { return count_ == 0 ? 0.0 : max_; }
-
-  /// The p-th percentile (0 <= p <= 100): the geometric midpoint of the
-  /// bucket holding the p-th ranked sample, clamped to [Min(), Max()].
-  /// 0 when empty. Deterministic given equal counts.
-  double Percentile(double p) const;
-
-  /// Percentile of the samples added since `prev` was a copy of this
-  /// histogram (bucket-count subtraction — `prev` must be an earlier
-  /// state of *this*). 0 when no samples arrived in between. Integer
-  /// bucket math, so windowed percentiles stay deterministic — this is
-  /// what the flight recorder uses for per-interval p50/p99.
-  double DeltaPercentile(const LatencyHistogram& prev, double p) const;
-
- private:
-  static int BucketOf(double latency);
-  static double BucketMidpoint(int bucket);
-
-  std::array<uint64_t, kNumBuckets> buckets_ = {};
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
+/// Query latencies in seconds: 8 buckets per octave (~9% relative
+/// resolution) over 17 octaves, [1 ms, ~131 s), past any query timeout.
+using LatencyHistogram = LogHistogram<1e-3, 8, 136>;
 
 /// How one issued query resolved.
 enum class QueryOutcome {

@@ -67,9 +67,9 @@ class QueryDriver : private QuerySink::Engine {
   /// protocol launches via the tracer's ambient scope.
   void set_tracer(Tracer* tracer) { sink_.set_tracer(tracer); }
 
-  const SloReport& report() const { return sink_.report(); }
-  /// Queries currently in flight (live; the flight recorder samples it).
-  int inflight_count() const { return sink_.inflight(); }
+  /// The query sink: its live report, in-flight count and serving front
+  /// end (the flight recorder samples them).
+  const QuerySink& sink() const { return sink_; }
   const std::vector<WorkloadQueryRecord>& records() const {
     return records_;
   }
@@ -88,10 +88,6 @@ class QueryDriver : private QuerySink::Engine {
   const ContinuousKnn* continuous_engine() const {
     return continuous_.get();
   }
-
-  /// The serving front end, when the spec enables any of its stages
-  /// (cache@ / coalesce@ / admit@shed), else nullptr.
-  const ServingFrontEnd* serving() const { return sink_.serving(); }
 
  private:
   Rect QueryRect(const Point& center, double side) const;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <utility>
 
+#include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 
 namespace diknn {
@@ -204,16 +206,81 @@ void QuerySink::Finalize(SimTime now, SimTime duration, Engine& engine) {
   assert(report_.Consistent());
 }
 
-void PublishServingCounters(const ServingCounters& counters,
-                            MetricsRegistry* reg) {
-  reg->PublishCounter("serving.cache_hits", counters.cache_hits);
-  reg->PublishCounter("serving.cache_misses", counters.cache_misses);
-  reg->PublishCounter("serving.cache_expired", counters.cache_expired);
-  reg->PublishCounter("serving.cache_insertions", counters.cache_insertions);
-  reg->PublishCounter("serving.coalesced", counters.coalesced);
-  reg->PublishCounter("serving.fanned_out", counters.fanned_out);
-  reg->PublishCounter("serving.shed", counters.shed);
-  reg->PublishCounter("serving.shed_probes", counters.shed_probes);
+void PublishSinkMetrics(const SloReport& report, MetricsRegistry* reg) {
+  reg->PublishCounter("workload.issued", report.issued);
+  reg->PublishCounter("workload.completed", report.completed);
+  reg->PublishCounter("workload.deadline_missed", report.deadline_missed);
+  reg->PublishCounter("workload.rejected", report.rejected);
+  reg->PublishCounter("workload.timed_out", report.timed_out);
+  reg->PublishGauge("workload.peak_inflight",
+                    static_cast<double>(report.peak_inflight));
+  const ServingCounters& sc = report.serving;
+  reg->PublishCounter("serving.cache_hits", sc.cache_hits);
+  reg->PublishCounter("serving.cache_misses", sc.cache_misses);
+  reg->PublishCounter("serving.cache_expired", sc.cache_expired);
+  reg->PublishCounter("serving.cache_insertions", sc.cache_insertions);
+  reg->PublishCounter("serving.coalesced", sc.coalesced);
+  reg->PublishCounter("serving.fanned_out", sc.fanned_out);
+  reg->PublishCounter("serving.shed", sc.shed);
+  reg->PublishCounter("serving.shed_probes", sc.shed_probes);
+}
+
+void InstallSinkProbes(FlightRecorder* recorder, const QuerySink* sink) {
+  // The counts as of the previous tick; the probe reports the deltas.
+  struct State {
+    SloReport prev;
+    ServingCounters prev_serving;
+  };
+  auto state = std::make_shared<State>();
+  state->prev = sink->report();
+  const bool serving = sink->serving() != nullptr;
+  if (serving) state->prev_serving = sink->serving()->counters();
+
+  TimeSeries* issued_per_s = recorder->AddSeries("workload.issued_per_s");
+  TimeSeries* goodput = recorder->AddSeries("workload.goodput_qps");
+  TimeSeries* p50_ms = recorder->AddSeries("workload.p50_ms");
+  TimeSeries* p99_ms = recorder->AddSeries("workload.p99_ms");
+  TimeSeries* miss_rate = recorder->AddSeries("workload.miss_rate");
+  TimeSeries* reject_rate = recorder->AddSeries("workload.reject_rate");
+  TimeSeries* timeout_rate = recorder->AddSeries("workload.timeout_rate");
+  TimeSeries* inflight = recorder->AddSeries("workload.inflight");
+  TimeSeries* cache_hit_rate =
+      serving ? recorder->AddSeries("serving.cache_hit_rate") : nullptr;
+  TimeSeries* coalesce_rate =
+      serving ? recorder->AddSeries("serving.coalesce_rate") : nullptr;
+  TimeSeries* shed_per_s =
+      serving ? recorder->AddSeries("serving.shed_per_s") : nullptr;
+  recorder->AddProbe([state, sink, issued_per_s, goodput, p50_ms, p99_ms,
+                      miss_rate, reject_rate, timeout_rate, inflight,
+                      cache_hit_rate, coalesce_rate,
+                      shed_per_s](double t, double span) {
+    const auto per_s = [span](uint64_t count) {
+      return span > 0.0 ? static_cast<double>(count) / span : 0.0;
+    };
+    const SloReport& now = sink->report();
+    const SloReport& prev = state->prev;
+    const uint64_t issued = now.issued - prev.issued;
+    issued_per_s->Append(t, per_s(issued));
+    goodput->Append(t, per_s(now.completed - prev.completed));
+    p50_ms->Append(t, 1e3 * now.latency.DeltaPercentile(prev.latency, 50.0));
+    p99_ms->Append(t, 1e3 * now.latency.DeltaPercentile(prev.latency, 99.0));
+    miss_rate->Append(
+        t, SafeRate(now.deadline_missed - prev.deadline_missed, issued));
+    reject_rate->Append(t, SafeRate(now.rejected - prev.rejected, issued));
+    timeout_rate->Append(t, SafeRate(now.timed_out - prev.timed_out, issued));
+    inflight->Append(t, static_cast<double>(sink->inflight()));
+    if (cache_hit_rate != nullptr) {
+      const ServingCounters& sc = sink->serving()->counters();
+      const ServingCounters& sp = state->prev_serving;
+      const uint64_t hits = sc.cache_hits - sp.cache_hits;
+      const uint64_t misses = sc.cache_misses - sp.cache_misses;
+      cache_hit_rate->Append(t, SafeRate(hits, hits + misses));
+      coalesce_rate->Append(t, SafeRate(sc.coalesced - sp.coalesced, issued));
+      shed_per_s->Append(t, per_s(sc.shed - sp.shed));
+      state->prev_serving = sc;
+    }
+    state->prev = now;
+  });
 }
 
 }  // namespace diknn

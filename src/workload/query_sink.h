@@ -49,6 +49,7 @@
 
 namespace diknn {
 
+class FlightRecorder;
 class MetricsRegistry;
 
 /// Outcome of one workload query, for tests and per-query analysis.
@@ -176,10 +177,20 @@ class QuerySink {
   SloReport report_;
 };
 
-/// Publishes a run's serving front-end counters as the serving.* rows
-/// (all zero when the workload ran without a front end).
-void PublishServingCounters(const ServingCounters& counters,
-                            MetricsRegistry* reg);
+// What a run reports about its sink, defined once for both engines.
+
+/// Publishes a run's sink report: the workload.* outcome counters, the
+/// workload.peak_inflight gauge and the serving.* counters. Rows read 0
+/// when the run had no workload or no serving front end.
+void PublishSinkMetrics(const SloReport& report, MetricsRegistry* reg);
+
+/// Registers the sink's flight-recorder series and the probe that
+/// samples them from `sink`, which must outlive the recorder's ticks:
+/// per-span issue, goodput and outcome rates, the span's p50/p99 latency
+/// (bucket-count deltas, so integer-derived and deterministic) and the
+/// in-flight count; plus the serving.* rates when the sink runs a
+/// serving front end.
+void InstallSinkProbes(FlightRecorder* recorder, const QuerySink* sink);
 
 }  // namespace diknn
 

@@ -1,11 +1,14 @@
 // Cross-engine agreement between the serial QueryDriver and the sharded
 // engine's sink (psim/query_plane.h): for one spec and seed both issue
-// the same arrival sequence — time, class, query point and k — and both
-// score the queries still pending at the end of a run the same way.
+// the same arrival sequence — time, class, query point and k — both
+// score the queries still pending at the end of a run the same way, and
+// both report the same workload.* / serving.* rows and series.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "harness/experiment.h"
@@ -145,6 +148,63 @@ TEST(CrossEngineTest, QueuedAtEndScoresRejectedOnBothEngines) {
     EXPECT_EQ(slo.peak_inflight, 1u);
   }
   EXPECT_EQ(serial.slo.issued, sharded.slo.issued);
+}
+
+// The workload.* / serving.* names a run reports: obs rows of every
+// kind, and flight-recorder series.
+struct SinkNames {
+  std::set<std::string> rows;
+  std::set<std::string> series;
+};
+
+SinkNames SinkReportNames(const RunMetrics& m) {
+  const auto sink_owned = [](const std::string& name) {
+    return name.rfind("workload.", 0) == 0 || name.rfind("serving.", 0) == 0;
+  };
+  SinkNames names;
+  for (const MetricsSnapshot::Counter& c : m.obs.counters) {
+    if (sink_owned(c.name)) names.rows.insert(c.name);
+  }
+  for (const MetricsSnapshot::Gauge& g : m.obs.gauges) {
+    if (sink_owned(g.name)) names.rows.insert(g.name);
+  }
+  for (const MetricsSnapshot::Histogram& h : m.obs.histograms) {
+    if (sink_owned(h.name)) names.rows.insert(h.name);
+  }
+  for (const TimeSeries& s : m.ts.series()) {
+    if (sink_owned(s.name())) names.series.insert(s.name());
+  }
+  return names;
+}
+
+// One spec reports the same names whichever engine runs it: the sink
+// publishes its rows and installs its series itself. The serving.*
+// series exist only when the spec enables a serving stage.
+TEST(CrossEngineTest, OneSpecReportsTheSameNamesOnBothEngines) {
+  for (const bool served : {true, false}) {
+    ExperimentConfig config;
+    config.network.node_count = 100;
+    config.network.field = Rect::Field(90, 90);
+    config.duration = 6.0;
+    config.drain = 1.0;
+    config.ts_interval = 1.0;
+    config.workload = MustParse(
+        served ? "arrival@kind=poisson,rate=6;k@lo=5;"
+                 "space@kind=hotspot,n=2,sigma=5;cache@ttl=8,cells=3;"
+                 "coalesce@window=3,kslack=6"
+               : "arrival@kind=poisson,rate=6;k@lo=5");
+
+    const SinkNames serial = SinkReportNames(RunOnce(config, /*seed=*/7));
+    config.force_windowed = true;
+    const SinkNames windowed = SinkReportNames(RunOnce(config, /*seed=*/7));
+
+    EXPECT_EQ(serial.rows, windowed.rows) << "served=" << served;
+    EXPECT_EQ(serial.series, windowed.series) << "served=" << served;
+    EXPECT_EQ(serial.rows.count("workload.issued"), 1u);
+    EXPECT_EQ(serial.rows.count("serving.cache_hits"), 1u);
+    EXPECT_EQ(serial.series.count("workload.inflight"), 1u);
+    EXPECT_EQ(serial.series.count("serving.cache_hit_rate"), served ? 1u : 0u);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
+#include "workload/latency_histogram.h"
 
 namespace diknn {
 namespace {
@@ -130,6 +131,51 @@ TEST(MetricsHistogramTest, OutliersClampIntoRange) {
   EXPECT_EQ(h.Max(), 1e12);
   EXPECT_GE(h.Percentile(50), 0.0);
   EXPECT_LE(h.Percentile(100), 1e12);
+}
+
+// Both log-bucket histograms, pinned bit-for-bit. Their three constants
+// (minimum value, buckets per octave, bucket count) decide every bucket
+// edge and midpoint; samples at or below the minimum share bucket 0 and
+// samples past the span share the last bucket.
+TEST(LogHistogramTest, BothInstantiationsKeepTheirBuckets) {
+  // [1 ms, ~131 s) at 8 buckets per octave. The first four samples are
+  // the state DeltaPercentile subtracts.
+  const double latencies[] = {0.0, 5e-4, 0.0123, 0.25, 1.5,
+                              3.75, 0.04, 500.0, 1e4,  0.001};
+  LatencyHistogram lat;
+  LatencyHistogram lat_before;
+  for (int i = 0; i < 10; ++i) {
+    if (i == 4) lat_before = lat;
+    lat.Add(latencies[i]);
+  }
+  EXPECT_EQ(lat.Count(), 10u);
+  EXPECT_EQ(lat.Min(), 0.0);
+  EXPECT_EQ(lat.Max(), 1e4);
+  EXPECT_EQ(lat.Percentile(0.0), 0x1.11c006f971384p-10);
+  EXPECT_EQ(lat.Percentile(25.0), 0x1.11c006f971384p-10);
+  EXPECT_EQ(lat.Percentile(50.0), 0x1.458baac1ad521p-5);
+  EXPECT_EQ(lat.Percentile(75.0), 0x1.cc64165e8c748p+1);
+  EXPECT_EQ(lat.Percentile(90.0), 0x1.f60f562f656e4p+6);
+  EXPECT_EQ(lat.Percentile(100.0), 0x1.f60f562f656e4p+6);
+  EXPECT_EQ(lat.DeltaPercentile(lat_before, 0.0), 0x1.11c006f971384p-10);
+  EXPECT_EQ(lat.DeltaPercentile(lat_before, 50.0), 0x1.83241ffea808ap+0);
+  EXPECT_EQ(lat.DeltaPercentile(lat_before, 99.0), 0x1.f60f562f656e4p+6);
+  EXPECT_EQ(lat.DeltaPercentile(lat, 50.0), 0.0);
+
+  // [1e-6, ~1.1e6) at 4 buckets per octave.
+  const double values[] = {0.0, 3e-7, 1e-3, 0.5, 42.0,
+                           1e5, 5e8,  1e12, 7.0, 1e-6};
+  MetricsHistogram met;
+  for (double v : values) met.Add(v);
+  EXPECT_EQ(met.Count(), 10u);
+  EXPECT_EQ(met.Min(), 0.0);
+  EXPECT_EQ(met.Max(), 1e12);
+  EXPECT_EQ(met.Percentile(0.0), 0x1.24bb1eea79d48p-20);
+  EXPECT_EQ(met.Percentile(25.0), 0x1.24bb1eea79d48p-20);
+  EXPECT_EQ(met.Percentile(50.0), 0x1.ec5013768c2eep-2);
+  EXPECT_EQ(met.Percentile(75.0), 0x1.9dfbebc2a24a5p+16);
+  EXPECT_EQ(met.Percentile(90.0), 0x1.ec5013768c2eep+19);
+  EXPECT_EQ(met.Percentile(100.0), 0x1.ec5013768c2eep+19);
 }
 
 // --- Snapshot merge --------------------------------------------------

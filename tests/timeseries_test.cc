@@ -112,7 +112,7 @@ TEST(FlightRecorderTest, CounterDeltaAndSafeRate) {
 TEST(FlightRecorderTest, ScheduleTicksSamplesOncePerInterval) {
   FlightRecorder rec(TimeSeriesOptions{0.5, 32});
   TimeSeries* ticks = rec.AddSeries("ticks");
-  rec.AddProbe([ticks](double t) { ticks->Append(t, 1.0); });
+  rec.AddProbe([ticks](double t, double) { ticks->Append(t, 1.0); });
   Simulator sim;
   rec.ScheduleTicks(&sim, 0.0, 2.0);
   sim.RunUntil(10.0);
@@ -122,10 +122,31 @@ TEST(FlightRecorderTest, ScheduleTicksSamplesOncePerInterval) {
   EXPECT_DOUBLE_EQ(ticks->TimeAt(3), 2.0);
 }
 
+TEST(FlightRecorderTest, ScheduledTicksSpanExactlyOneInterval) {
+  // At a 0.1 s cadence the tick times accumulate rounding (0.1 + 0.2 !=
+  // 0.3), so t minus the previous tick drifts by ulps; each sample's span
+  // is the interval itself, so per-second rates divide by 0.1 exactly.
+  FlightRecorder rec(TimeSeriesOptions{0.1, 64});
+  TimeSeries* spans = rec.AddSeries("spans");
+  rec.AddProbe([spans](double t, double span) { spans->Append(t, span); });
+  Simulator sim;
+  rec.ScheduleTicks(&sim, 0.0, 3.0);
+  sim.RunUntil(10.0);
+  ASSERT_GE(spans->size(), 29u);
+  bool times_drift = false;
+  for (size_t i = 0; i < spans->size(); ++i) {
+    EXPECT_EQ(spans->ValueAt(i), 0.1) << i;
+    if (i > 0 && spans->TimeAt(i) - spans->TimeAt(i - 1) != 0.1) {
+      times_drift = true;
+    }
+  }
+  EXPECT_TRUE(times_drift);
+}
+
 TEST(FlightRecorderTest, DisabledOptionsScheduleNothing) {
   FlightRecorder rec(TimeSeriesOptions{});
   TimeSeries* ticks = rec.AddSeries("ticks");
-  rec.AddProbe([ticks](double t) { ticks->Append(t, 1.0); });
+  rec.AddProbe([ticks](double t, double) { ticks->Append(t, 1.0); });
   Simulator sim;
   rec.ScheduleTicks(&sim, 0.0, 2.0);
   sim.RunUntil(10.0);

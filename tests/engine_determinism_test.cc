@@ -5,8 +5,9 @@
 // Two anchors hold that contract. A same-timestamp storm is replayed on
 // the Simulator and on a direct reference scheduler that states the
 // ordering rule in a few lines. Golden outputs of a small paper run and
-// a small workload run pin the end-to-end result, and golden fingerprints
-// of window and aggregate workloads pin the itinerary sweep engines.
+// a small workload run pin the end-to-end result, golden fingerprints
+// of window and aggregate workloads pin the itinerary sweep engines, and
+// golden paper runs pin the four baseline engines.
 
 #include <cstdint>
 #include <functional>
@@ -324,6 +325,79 @@ TEST(EngineDeterminismTest, AggregateSweepsUnderFaultsMatchGoldenSeed42) {
       "Beacon 14403 331269\n"
       "GeoRouted 1300 80210\n"
       "MacAck 1227 13497");
+}
+
+// --- Golden anchors for the four baseline engines (KPT, Peer-tree,
+// --- Flooding, Centralized): a §5.1-default paper run at seed 42 with a
+// --- query every second on average, clean and under the sweep anchors'
+// --- fault plan. Each run is pinned as its query and timeout counts, the
+// --- scheduler's fired and cancelled events, and the energy as a
+// --- hexfloat.
+
+std::string BaselineRunFingerprint(ProtocolKind protocol,
+                                   const char* faults) {
+  ExperimentConfig config;
+  config.protocol = protocol;
+  config.duration = 30.0;
+  config.query_interval_mean = 1.0;
+  config.runs = 1;
+  if (faults != nullptr) {
+    std::string error;
+    const std::optional<FaultPlan> plan = FaultPlan::Parse(faults, &error);
+    EXPECT_TRUE(plan.has_value()) << error;
+    config.faults = *plan;
+  }
+  const RunMetrics m = RunOnce(config, 42);
+  std::ostringstream out;
+  out << "queries=" << m.queries << " timeouts=" << m.timeouts
+      << " events_fired=" << m.engine.events_fired
+      << " events_cancelled=" << m.engine.events_cancelled
+      << " energy=" << std::hexfloat << m.energy_joules;
+  return out.str();
+}
+
+TEST(EngineDeterminismTest, KptMatchesGoldenSeed42) {
+  EXPECT_EQ(BaselineRunFingerprint(ProtocolKind::kKptKnnb, nullptr),
+            "queries=31 timeouts=16 "
+            "events_fired=553715 events_cancelled=14866 "
+            "energy=0x1.ce6061b4d0df5p+5");
+  EXPECT_EQ(BaselineRunFingerprint(ProtocolKind::kKptKnnb, kSweepFaults),
+            "queries=31 timeouts=6 "
+            "events_fired=281327 events_cancelled=6523 "
+            "energy=0x1.e6a20fdfc6d67p+4");
+}
+
+TEST(EngineDeterminismTest, PeerTreeMatchesGoldenSeed42) {
+  EXPECT_EQ(BaselineRunFingerprint(ProtocolKind::kPeerTree, nullptr),
+            "queries=31 timeouts=22 "
+            "events_fired=371303 events_cancelled=11467 "
+            "energy=0x1.5ce90e4bf31cep+5");
+  EXPECT_EQ(BaselineRunFingerprint(ProtocolKind::kPeerTree, kSweepFaults),
+            "queries=31 timeouts=20 "
+            "events_fired=405912 events_cancelled=11478 "
+            "energy=0x1.6b21d9af086a2p+5");
+}
+
+TEST(EngineDeterminismTest, FloodingMatchesGoldenSeed42) {
+  EXPECT_EQ(BaselineRunFingerprint(ProtocolKind::kFlooding, nullptr),
+            "queries=31 timeouts=0 "
+            "events_fired=467468 events_cancelled=7925 "
+            "energy=0x1.3b5e280933837p+5");
+  EXPECT_EQ(BaselineRunFingerprint(ProtocolKind::kFlooding, kSweepFaults),
+            "queries=31 timeouts=0 "
+            "events_fired=620611 events_cancelled=12656 "
+            "energy=0x1.97463a414445cp+5");
+}
+
+TEST(EngineDeterminismTest, CentralizedMatchesGoldenSeed42) {
+  EXPECT_EQ(BaselineRunFingerprint(ProtocolKind::kCentralized, nullptr),
+            "queries=31 timeouts=0 "
+            "events_fired=139176 events_cancelled=4825 "
+            "energy=0x1.57dfbd954c67cp+3");
+  EXPECT_EQ(BaselineRunFingerprint(ProtocolKind::kCentralized, kSweepFaults),
+            "queries=31 timeouts=0 "
+            "events_fired=145937 events_cancelled=4607 "
+            "energy=0x1.67e91d0f8565p+3");
 }
 
 // The anchors above read the channel's frame log; attaching it must not

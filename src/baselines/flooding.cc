@@ -13,7 +13,10 @@ constexpr size_t kReplyBytes = 14;
 
 Flooding::Flooding(Network* network, GpsrRouting* gpsr,
                    FloodingParams params)
-    : network_(network), gpsr_(gpsr), params_(params) {}
+    : network_(network),
+      gpsr_(gpsr),
+      params_(params),
+      ledger_(&network->sim()) {}
 
 void Flooding::Install() {
   gpsr_->RegisterDelivery(
@@ -38,21 +41,21 @@ void Flooding::IssueQuery(NodeId sink, Point q, int k,
                           ResultHandler handler) {
   Node* sink_node = network_->node(sink);
   KnnQuery query;
-  query.id = next_query_id_++;
+  query.id = ledger_.NextId();
   query.q = q;
   query.k = std::max(1, k);
   query.sink = sink;
   query.sink_position = sink_node->Position();
 
-  PendingQuery pending;
-  pending.query = query;
-  pending.handler = std::move(handler);
-  pending.issued_at = network_->sim().Now();
+  // The fixed collection window is the query's only timer; its expiry
+  // is the normal completion, not a timeout.
   const uint64_t id = query.id;
-  pending.complete_event = network_->sim().ScheduleAfter(
+  Ledger::Entry& pending = ledger_.Open(
+      id, sink, std::move(handler),
       std::min(params_.collect_window + 1.0, params_.query_timeout),
       [this, id]() { CompleteQuery(id); });
-  pending_.emplace(id, std::move(pending));
+  pending.q = query.q;
+  pending.k = query.k;
   ++stats_.queries_issued;
 
   auto bootstrap = std::make_shared<QueryBootstrap>();
@@ -112,31 +115,21 @@ void Flooding::OnFlood(Node* node, const FloodMessage& msg) {
 }
 
 void Flooding::OnReply(Node* node, const ReplyMessage& msg) {
-  auto it = pending_.find(msg.query_id);
-  if (it == pending_.end()) return;
-  if (node->id() != it->second.query.sink) return;
+  Ledger::Entry* pending = ledger_.AtSink(msg.query_id, node->id());
+  if (pending == nullptr) return;
   ++stats_.replies_received;
-  it->second.candidates.push_back(msg.candidate);
+  pending->candidates.push_back(msg.candidate);
 }
 
 void Flooding::CompleteQuery(uint64_t query_id) {
-  auto it = pending_.find(query_id);
-  if (it == pending_.end() || it->second.completed) return;
-  PendingQuery& pending = it->second;
-  pending.completed = true;
-  ++stats_.queries_completed;
-
-  KnnResult result;
-  result.query_id = query_id;
-  result.candidates = pending.candidates;
-  result.issued_at = pending.issued_at;
-  result.completed_at = network_->sim().Now();
-  PruneCandidates(&result.candidates, pending.query.q, pending.query.k);
-
-  ResultHandler handler = std::move(pending.handler);
-  pending_.erase(it);
-  seen_.erase(query_id);
-  if (handler) handler(result);
+  ledger_.Complete(query_id, false,
+                   [&](Ledger::Entry& pending, KnnResult& result) {
+                     ++stats_.queries_completed;
+                     result.candidates = pending.candidates;
+                     PruneCandidates(&result.candidates, pending.q,
+                                     pending.k);
+                     seen_.erase(query_id);
+                   });
 }
 
 }  // namespace diknn

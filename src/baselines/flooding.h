@@ -14,6 +14,7 @@
 
 #include "knn/knnb.h"
 #include "knn/query.h"
+#include "knn/query_ledger.h"
 #include "net/network.h"
 #include "routing/gpsr.h"
 
@@ -45,6 +46,7 @@ class Flooding : public KnnProtocol {
   void Install() override;
   void IssueQuery(NodeId sink, Point q, int k, ResultHandler handler) override;
   std::string name() const override { return "Flooding"; }
+  size_t pending_queries() const override { return ledger_.size(); }
 
   const FloodingStats& stats() const { return stats_; }
 
@@ -63,18 +65,18 @@ class Flooding : public KnnProtocol {
     KnnCandidate candidate;
   };
 
-  struct PendingQuery {
-    KnnQuery query;
-    ResultHandler handler;
-    std::vector<KnnCandidate> candidates;
-    SimTime issued_at = 0;
-    EventId complete_event = 0;
-    bool completed = false;
+  /// Flooding's fields of a query's ledger entry.
+  struct SinkFields {
+    Point q;
+    int k = 1;
+    std::vector<KnnCandidate> candidates;  ///< Replies so far.
   };
+  using Ledger = QueryLedger<KnnResult, SinkFields>;
 
   void OnHomeNodeArrival(Node* node, const GeoRoutedMessage& msg);
   void OnFlood(Node* node, const FloodMessage& msg);
   void OnReply(Node* node, const ReplyMessage& msg);
+  // The collection window closed: answer with the replies so far.
   void CompleteQuery(uint64_t query_id);
 
   Network* network_;
@@ -82,8 +84,7 @@ class Flooding : public KnnProtocol {
   FloodingParams params_;
   FloodingStats stats_;
 
-  uint64_t next_query_id_ = 1;
-  std::unordered_map<uint64_t, PendingQuery> pending_;
+  Ledger ledger_;
   std::unordered_map<uint64_t, std::unordered_set<NodeId>> seen_;
 };
 

@@ -17,7 +17,10 @@ constexpr size_t kCandidateBytes = 12;
 }  // namespace
 
 KptKnnb::KptKnnb(Network* network, GpsrRouting* gpsr, KptParams params)
-    : network_(network), gpsr_(gpsr), params_(params) {}
+    : network_(network),
+      gpsr_(gpsr),
+      params_(params),
+      ledger_(&network->sim()) {}
 
 void KptKnnb::Install() {
   gpsr_->RegisterDelivery(
@@ -57,7 +60,7 @@ void KptKnnb::IssueQuery(NodeId sink, Point q, int k,
                          ResultHandler handler) {
   Node* sink_node = network_->node(sink);
   KnnQuery query;
-  query.id = next_query_id_++;
+  query.id = ledger_.NextId();
   query.q = q;
   query.k = std::max(1, k);
   query.sink = sink;
@@ -70,14 +73,15 @@ void KptKnnb::IssueQuery(NodeId sink, Point q, int k,
                   [&](const auto& kv) { return (kv.first >> 20) < horizon; });
   }
 
-  PendingQuery pending;
-  pending.query = query;
-  pending.handler = std::move(handler);
-  pending.issued_at = network_->sim().Now();
   const uint64_t id = query.id;
-  pending.timeout_event = network_->sim().ScheduleAfter(
-      params_.query_timeout, [this, id]() { CompleteQuery(id, true); });
-  pending_.emplace(id, std::move(pending));
+  Ledger::Entry& pending = ledger_.Open(
+      id, sink, std::move(handler), params_.query_timeout, [this, id]() {
+        ledger_.Complete(id, true, [this](Ledger::Entry&, KnnResult&) {
+          ++stats_.timeouts;
+        });
+      });
+  pending.q = query.q;
+  pending.k = query.k;
   ++stats_.queries_issued;
 
   auto bootstrap = std::make_shared<QueryBootstrap>();
@@ -335,43 +339,13 @@ void KptKnnb::FinishAtHome(Node* node, TreeNode* state) {
 
 void KptKnnb::OnResult(Node* node, const GeoRoutedMessage& msg) {
   const auto* result = static_cast<const ResultMessage*>(msg.inner.get());
-  auto it = pending_.find(result->query_id);
-  if (it == pending_.end()) return;
-  PendingQuery& pending = it->second;
-  if (node->id() != pending.query.sink) return;
-
-  KnnResult out;
-  out.query_id = result->query_id;
-  out.candidates = result->candidates;
-  out.issued_at = pending.issued_at;
-  out.completed_at = network_->sim().Now();
-  out.timed_out = false;
-  PruneCandidates(&out.candidates, pending.query.q, pending.query.k);
-
-  pending.completed = true;
-  network_->sim().Cancel(pending.timeout_event);
-  ++stats_.queries_completed;
-  ResultHandler handler = std::move(pending.handler);
-  pending_.erase(it);
-  if (handler) handler(out);
-}
-
-void KptKnnb::CompleteQuery(uint64_t query_id, bool timed_out) {
-  auto it = pending_.find(query_id);
-  if (it == pending_.end() || it->second.completed) return;
-  PendingQuery& pending = it->second;
-  pending.completed = true;
-  if (timed_out) ++stats_.timeouts;
-
-  KnnResult result;
-  result.query_id = query_id;
-  result.issued_at = pending.issued_at;
-  result.completed_at = network_->sim().Now();
-  result.timed_out = timed_out;
-
-  ResultHandler handler = std::move(pending.handler);
-  pending_.erase(it);
-  if (handler) handler(result);
+  if (ledger_.AtSink(result->query_id, node->id()) == nullptr) return;
+  ledger_.Complete(result->query_id, false,
+                   [&](Ledger::Entry& pending, KnnResult& out) {
+                     ++stats_.queries_completed;
+                     out.candidates = result->candidates;
+                     PruneCandidates(&out.candidates, pending.q, pending.k);
+                   });
 }
 
 }  // namespace diknn

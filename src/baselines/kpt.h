@@ -28,6 +28,7 @@
 
 #include "knn/knnb.h"
 #include "knn/query.h"
+#include "knn/query_ledger.h"
 #include "net/network.h"
 #include "routing/gpsr.h"
 
@@ -81,6 +82,7 @@ class KptKnnb : public KnnProtocol {
   void Install() override;
   void IssueQuery(NodeId sink, Point q, int k, ResultHandler handler) override;
   std::string name() const override { return "KPT+KNNB"; }
+  size_t pending_queries() const override { return ledger_.size(); }
 
   const KptStats& stats() const { return stats_; }
 
@@ -129,13 +131,12 @@ class KptKnnb : public KnnProtocol {
     EventId deadline_event = 0;
   };
 
-  struct PendingQuery {
-    KnnQuery query;
-    ResultHandler handler;
-    SimTime issued_at = 0;
-    EventId timeout_event = 0;
-    bool completed = false;
+  /// KPT's fields of a query's ledger entry.
+  struct SinkFields {
+    Point q;
+    int k = 1;
   };
+  using Ledger = QueryLedger<KnnResult, SinkFields>;
 
   static uint64_t TreeKey(uint64_t query_id, NodeId node) {
     return (query_id << 20) | static_cast<uint64_t>(node & 0xfffff);
@@ -148,16 +149,14 @@ class KptKnnb : public KnnProtocol {
   void OnAggregate(Node* node, NodeId from, const AggregateMessage& msg);
   void FinishAtHome(Node* node, TreeNode* state);
   void OnResult(Node* node, const GeoRoutedMessage& msg);
-  void CompleteQuery(uint64_t query_id, bool timed_out);
 
   Network* network_;
   GpsrRouting* gpsr_;
   KptParams params_;
   KptStats stats_;
 
-  uint64_t next_query_id_ = 1;
+  Ledger ledger_;
   std::unordered_map<uint64_t, TreeNode> tree_;      // By TreeKey.
-  std::unordered_map<uint64_t, PendingQuery> pending_;
 };
 
 }  // namespace diknn

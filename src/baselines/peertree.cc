@@ -37,7 +37,10 @@ std::vector<Point> PeerTree::ClusterheadPositions(const Rect& field,
 
 PeerTree::PeerTree(Network* network, GpsrRouting* gpsr,
                    PeerTreeParams params)
-    : network_(network), gpsr_(gpsr), params_(params) {
+    : network_(network),
+      gpsr_(gpsr),
+      params_(params),
+      ledger_(&network->sim()) {
   const Rect& field = network_->config().field;
   const int dim = params_.grid_dim;
   const int mobile = network_->config().node_count;
@@ -189,20 +192,18 @@ void PeerTree::IssueQuery(NodeId sink, Point q, int k,
                           ResultHandler handler) {
   Node* sink_node = network_->node(sink);
   KnnQuery query;
-  query.id = next_query_id_++;
+  query.id = ledger_.NextId();
   query.q = q;
   query.k = std::max(1, k);
   query.sink = sink;
   query.sink_position = sink_node->Position();
 
-  PendingQuery pending;
-  pending.query = query;
-  pending.handler = std::move(handler);
-  pending.issued_at = network_->sim().Now();
   const uint64_t id = query.id;
-  pending.timeout_event = network_->sim().ScheduleAfter(
-      params_.query_timeout, [this, id]() { CompleteQuery(id, true); });
-  pending_.emplace(id, std::move(pending));
+  Ledger::Entry& pending =
+      ledger_.Open(id, sink, std::move(handler), params_.query_timeout,
+                   [this, id]() { CompleteQuery(id, true); });
+  pending.q = query.q;
+  pending.k = query.k;
   ++stats_.queries_issued;
 
   // Route to the local clusterhead first (the paper's Fig. 2(a) flow).
@@ -412,50 +413,34 @@ void PeerTree::OnNotify(Node* node, const NotifyMessage& msg) {
 }
 
 void PeerTree::OnResponse(Node* node, const ResponseMessage& msg) {
-  auto it = pending_.find(msg.query_id);
-  if (it == pending_.end()) return;
-  PendingQuery& pending = it->second;
-  if (node->id() != pending.query.sink) return;
+  Ledger::Entry* pending = ledger_.AtSink(msg.query_id, node->id());
+  if (pending == nullptr) return;
   ++stats_.responses_received;
-  pending.candidates.push_back(msg.candidate);
-  if (pending.candidates.size() >=
-      static_cast<size_t>(pending.query.k)) {
+  pending->candidates.push_back(msg.candidate);
+  if (pending->candidates.size() >= static_cast<size_t>(pending->k)) {
     CompleteQuery(msg.query_id, /*timed_out=*/false);
     return;
   }
   // Some notifications will have missed their moved targets; stop waiting
   // shortly after the responses dry up.
   const uint64_t query_id = msg.query_id;
-  network_->sim().Cancel(pending.grace_event);
-  pending.grace_event = network_->sim().ScheduleAfter(
-      params_.response_grace,
-      [this, query_id]() { CompleteQuery(query_id, /*timed_out=*/false); });
+  ledger_.ArmGrace(pending, params_.response_grace, [this, query_id]() {
+    CompleteQuery(query_id, /*timed_out=*/false);
+  });
 }
 
 void PeerTree::CompleteQuery(uint64_t query_id, bool timed_out) {
-  auto it = pending_.find(query_id);
-  if (it == pending_.end() || it->second.completed) return;
-  PendingQuery& pending = it->second;
-  pending.completed = true;
-  network_->sim().Cancel(pending.timeout_event);
-  network_->sim().Cancel(pending.grace_event);
-  if (timed_out) {
-    ++stats_.timeouts;
-  } else {
-    ++stats_.queries_completed;
-  }
-
-  KnnResult result;
-  result.query_id = query_id;
-  result.candidates = pending.candidates;
-  result.issued_at = pending.issued_at;
-  result.completed_at = network_->sim().Now();
-  result.timed_out = timed_out;
-  PruneCandidates(&result.candidates, pending.query.q, pending.query.k);
-
-  ResultHandler handler = std::move(pending.handler);
-  pending_.erase(it);
-  if (handler) handler(result);
+  ledger_.Complete(query_id, timed_out,
+                   [&](Ledger::Entry& pending, KnnResult& result) {
+                     if (timed_out) {
+                       ++stats_.timeouts;
+                     } else {
+                       ++stats_.queries_completed;
+                     }
+                     result.candidates = pending.candidates;
+                     PruneCandidates(&result.candidates, pending.q,
+                                     pending.k);
+                   });
 }
 
 }  // namespace diknn

@@ -32,6 +32,7 @@
 
 #include "baselines/rtree.h"
 #include "knn/query.h"
+#include "knn/query_ledger.h"
 #include "net/network.h"
 #include "routing/gpsr.h"
 
@@ -85,6 +86,7 @@ class PeerTree : public KnnProtocol {
   void Install() override;
   void IssueQuery(NodeId sink, Point q, int k, ResultHandler handler) override;
   std::string name() const override { return "PeerTree"; }
+  size_t pending_queries() const override { return ledger_.size(); }
 
   const PeerTreeStats& stats() const { return stats_; }
 
@@ -163,15 +165,13 @@ class PeerTree : public KnnProtocol {
 
   // -------- sink state --------
 
-  struct PendingQuery {
-    KnnQuery query;
-    ResultHandler handler;
-    std::vector<KnnCandidate> candidates;
-    SimTime issued_at = 0;
-    EventId timeout_event = 0;
-    EventId grace_event = 0;
-    bool completed = false;
+  /// Peer-tree's fields of a query's ledger entry.
+  struct SinkFields {
+    Point q;
+    int k = 1;
+    std::vector<KnnCandidate> candidates;  ///< Responses so far.
   };
+  using Ledger = QueryLedger<KnnResult, SinkFields>;
 
   int CellOf(const Point& p) const;
   Node* HeadNode(int cell) { return network_->node(cells_[cell].head); }
@@ -197,9 +197,8 @@ class PeerTree : public KnnProtocol {
 
   std::vector<Cell> cells_;
   int root_cell_ = 0;
-  uint64_t next_query_id_ = 1;
+  Ledger ledger_;
   std::unordered_map<uint64_t, Coordination> coordinations_;
-  std::unordered_map<uint64_t, PendingQuery> pending_;
   // Last cell each mobile node registered with (node-local state mirror).
   std::unordered_map<NodeId, int> registered_cell_;
 };

@@ -43,6 +43,7 @@
 #include "knn/itinerary.h"
 #include "knn/knnb.h"
 #include "knn/query.h"
+#include "knn/query_ledger.h"
 #include "net/network.h"
 #include "routing/gpsr.h"
 
@@ -142,6 +143,7 @@ class Diknn : public KnnProtocol {
   void Install() override;
   void IssueQuery(NodeId sink, Point q, int k, ResultHandler handler) override;
   std::string name() const override { return "DIKNN"; }
+  size_t pending_queries() const override { return ledger_.size(); }
 
   const DiknnStats& stats() const { return stats_; }
   const DiknnParams& params() const { return params_; }
@@ -308,22 +310,17 @@ class Diknn : public KnnProtocol {
 
   // -------- sink-side state --------
 
-  struct PendingQuery {
-    KnnQuery query;
-    ResultHandler handler;
+  /// DIKNN's fields of a query's ledger entry.
+  struct SinkFields {
+    Point q;
+    int k = 1;
     std::vector<KnnCandidate> candidates;
     FlatSet<int> sectors_received;  ///< Dedups branch forks.
-    SimTime issued_at = 0;
-    EventId timeout_event = 0;
-    EventId grace_event = 0;
-    bool completed = false;
-    /// Root trace context; unsampled when tracing is off. `owns_trace` is
-    /// set when the protocol (not the workload driver) started the trace
-    /// and is therefore responsible for its root span.
+    /// Root trace context; unsampled when tracing is off.
     TraceContext trace;
     SpanId route_span = 0;
-    bool owns_trace = false;
   };
+  using Ledger = QueryLedger<KnnResult, SinkFields>;
 
   // -------- Q-node-side transient state --------
 
@@ -397,7 +394,7 @@ class Diknn : public KnnProtocol {
   // query down, straggling traversal work (forks, in-flight forwards,
   // late probes) must be dropped instead of resurrecting map entries.
   bool QueryActive(uint64_t query_id) const {
-    return pending_.contains(query_id);
+    return ledger_.Contains(query_id);
   }
 
   Network* network_;
@@ -408,8 +405,7 @@ class Diknn : public KnnProtocol {
   CompletionObserver completion_observer_;
   Tracer* tracer_ = nullptr;
 
-  uint64_t next_query_id_ = 1;
-  FlatMap<uint64_t, PendingQuery> pending_;
+  Ledger ledger_;
   FlatMap<uint64_t, Collection> collections_;
   // Highest hop_count seen per (query, sector); lower-or-equal arrivals
   // are duplicate traversal branches and are dropped.

@@ -69,6 +69,10 @@ class KnnProtocol {
   /// Short display name ("DIKNN", "KPT+KNNB", "PeerTree", ...).
   virtual std::string name() const = 0;
 
+  /// Queries issued and not yet completed: the size of the protocol's
+  /// sink-side ledger (knn/query_ledger.h). Zero once a run has drained.
+  virtual size_t pending_queries() const = 0;
+
   /// Heap allocations attributed to the protocol's handlers and events
   /// (docs/PACKET_PLANE.md). Protocols that do not arm an AllocScope
   /// return the default zero counters.

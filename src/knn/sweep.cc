@@ -50,7 +50,11 @@ template <typename Payload>
 ItinerarySweep<Payload>::ItinerarySweep(Network* network, GpsrRouting* gpsr,
                                         Payload payload,
                                         WindowQueryParams params)
-    : network_(network), gpsr_(gpsr), payload_(payload), params_(params) {}
+    : network_(network),
+      gpsr_(gpsr),
+      payload_(payload),
+      params_(params),
+      ledger_(&network->sim()) {}
 
 template <typename Payload>
 double ItinerarySweep<Payload>::EffectiveWidth() const {
@@ -121,7 +125,7 @@ void ItinerarySweep<Payload>::IssueQuery(NodeId sink, const Rect& region,
   AllocScope scope(&knn_allocs_);
   Node* sink_node = network_->node(sink);
   SweepQuery query;
-  query.id = next_query_id_++;
+  query.id = ledger_.NextId();
   query.region = region;
   query.sink = sink;
   query.sink_position = sink_node->Position();
@@ -137,14 +141,10 @@ void ItinerarySweep<Payload>::IssueQuery(NodeId sink, const Rect& region,
   const SimTime timeout =
       std::max(params_.query_timeout, expected_hops * per_hop + 4.0);
 
-  PendingQuery pending;
-  pending.query = query;
-  pending.handler = std::move(handler);
-  pending.issued_at = network_->sim().Now();
   const uint64_t id = query.id;
-  pending.timeout_event = network_->sim().ScheduleAfter(
-      timeout, [this, id]() { CompleteQuery(id, true); });
-  pending_.TryEmplace(id, std::move(pending));
+  ledger_.Open(id, sink, std::move(handler), timeout,
+               [this, id]() { OnTimeout(id); })
+      .region = region;
   ++stats_.queries_issued;
 
   // Enter the sweep at the start of the serpentine path (the region's
@@ -394,25 +394,23 @@ template <typename Payload>
 void ItinerarySweep<Payload>::OnResult(Node* node,
                                        const GeoRoutedMessage& msg) {
   const auto* result = static_cast<const ResultMessage*>(msg.inner.get());
-  PendingQuery* found = pending_.find(result->query_id);
-  if (found == nullptr) return;
-  PendingQuery& pending = *found;
-  if (node->id() != pending.query.sink || pending.completed) return;
+  const uint64_t id = result->query_id;
+  if (ledger_.AtSink(id, node->id()) == nullptr) return;
+  ledger_.Complete(id, false, [&](typename Ledger::Entry& pending,
+                                  Result& out) {
+    ++stats_.queries_completed;
+    Payload::Deliver(result->value, pending.region, &out);
+    TeardownQueryState(id);
+  });
+}
 
-  pending.completed = true;
-  network_->sim().Cancel(pending.timeout_event);
-  ++stats_.queries_completed;
-
-  Result out;
-  out.query_id = result->query_id;
-  Payload::Deliver(result->value, pending.query.region, &out);
-  out.issued_at = pending.issued_at;
-  out.completed_at = network_->sim().Now();
-
-  Handler handler = std::move(pending.handler);
-  pending_.erase(result->query_id);
-  TeardownQueryState(result->query_id);
-  if (handler) handler(out);
+template <typename Payload>
+void ItinerarySweep<Payload>::OnTimeout(uint64_t query_id) {
+  AllocScope scope(&knn_allocs_);
+  ledger_.Complete(query_id, true, [&](typename Ledger::Entry&, Result&) {
+    ++stats_.timeouts;
+    TeardownQueryState(query_id);
+  });
 }
 
 template <typename Payload>
@@ -425,28 +423,6 @@ void ItinerarySweep<Payload>::TeardownQueryState(uint64_t query_id) {
     collections_.erase(query_id);
     ++stats_.collections_cancelled;
   }
-}
-
-template <typename Payload>
-void ItinerarySweep<Payload>::CompleteQuery(uint64_t query_id,
-                                            bool timed_out) {
-  AllocScope scope(&knn_allocs_);
-  PendingQuery* found = pending_.find(query_id);
-  if (found == nullptr || found->completed) return;
-  PendingQuery& pending = *found;
-  pending.completed = true;
-  if (timed_out) ++stats_.timeouts;
-
-  Result out;
-  out.query_id = query_id;
-  out.issued_at = pending.issued_at;
-  out.completed_at = network_->sim().Now();
-  out.timed_out = timed_out;
-
-  Handler handler = std::move(pending.handler);
-  pending_.erase(query_id);
-  TeardownQueryState(query_id);
-  if (handler) handler(out);
 }
 
 template class ItinerarySweep<WindowPayload>;

@@ -30,6 +30,7 @@
 
 #include "core/alloc_probe.h"
 #include "core/flat_map.h"
+#include "knn/query_ledger.h"
 #include "net/network.h"
 #include "routing/gpsr.h"
 
@@ -116,7 +117,7 @@ class ItinerarySweep {
   /// Per-query entries still alive across all containers. Zero after a
   /// drained run; the lifecycle-soak tests assert on it.
   size_t PerQueryResidue() const {
-    return pending_.size() + collections_.size() + replied_.size() +
+    return ledger_.size() + collections_.size() + replied_.size() +
            last_hop_seen_.size();
   }
 
@@ -182,13 +183,11 @@ class ItinerarySweep {
     }
   };
 
-  struct PendingQuery {
-    SweepQuery query;
-    Handler handler;
-    SimTime issued_at = 0;
-    EventId timeout_event = 0;
-    bool completed = false;
+  /// The sweep's field of a query's ledger entry.
+  struct SinkFields {
+    Rect region;
   };
+  using Ledger = QueryLedger<Result, SinkFields>;
 
   struct Collection {
     std::shared_ptr<ForwardMessage> fwd;
@@ -201,7 +200,7 @@ class ItinerarySweep {
   /// handler that touches per-query state checks this first, so stale
   /// in-flight events cannot resurrect entries after teardown.
   bool QueryActive(uint64_t query_id) const {
-    return pending_.count(query_id) != 0;
+    return ledger_.Contains(query_id);
   }
 
   double EffectiveWidth() const;
@@ -213,8 +212,8 @@ class ItinerarySweep {
   void ForwardAlongSweep(Node* node, std::shared_ptr<ForwardMessage> fwd);
   void FinishSweep(Node* node, const SweepState& state);
   void OnResult(Node* node, const GeoRoutedMessage& msg);
+  void OnTimeout(uint64_t query_id);
   void TeardownQueryState(uint64_t query_id);
-  void CompleteQuery(uint64_t query_id, bool timed_out);
 
   // Freelist-backed per-query containers (see diknn.h for the rationale).
   FlatSet<NodeId>& RepliedFor(uint64_t query_id);
@@ -227,8 +226,7 @@ class ItinerarySweep {
   WindowQueryParams params_;
   WindowQueryStats stats_;
 
-  uint64_t next_query_id_ = 1;
-  FlatMap<uint64_t, PendingQuery> pending_;
+  Ledger ledger_;
   FlatMap<uint64_t, Collection> collections_;
   FlatMap<uint64_t, FlatSet<NodeId>> replied_;
   FlatMap<uint64_t, int> last_hop_seen_;

@@ -41,6 +41,7 @@ class RecordingProtocol : public KnnProtocol {
     launches.push_back({sim_->Now(), q, k});
   }
   std::string name() const override { return "recording"; }
+  size_t pending_queries() const override { return launches.size(); }
 
   std::vector<Launch> launches;
 

@@ -4,7 +4,14 @@
 
 #include "harness/experiment.h"
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "core/rng.h"
+#include "faults/fault_injector.h"
 
 namespace diknn {
 namespace {
@@ -45,6 +52,43 @@ TEST_P(ProtocolRunTest, DeterministicForSameSeed) {
   EXPECT_DOUBLE_EQ(a.avg_latency, b.avg_latency);
   EXPECT_DOUBLE_EQ(a.energy_joules, b.energy_joules);
   EXPECT_DOUBLE_EQ(a.avg_post_accuracy, b.avg_post_accuracy);
+}
+
+// Under node kills, ACK loss and duplicated frames every issued query
+// still completes exactly once, and the protocol's ledger drains.
+TEST_P(ProtocolRunTest, EveryQueryCompletesOnceUnderFaults) {
+  const ExperimentConfig config = ShortConfig(GetParam());
+  std::string error;
+  const std::optional<FaultPlan> plan = FaultPlan::Parse(
+      "kill@t=5,count=10;ackloss@t=3,dur=10,prob=0.3;dup@t=2,dur=20,prob=0.3",
+      &error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  ProtocolStack stack(config, 11);
+  Network& net = stack.network();
+  Simulator& sim = net.sim();
+  net.Warmup(config.warmup);
+  FaultInjector injector(&net, *plan, 11);
+  injector.Arm();
+
+  constexpr int kQueries = 12;
+  std::vector<int> fired(kQueries, 0);
+  Rng rng(11);
+  const SimTime start = sim.Now();
+  for (int i = 0; i < kQueries; ++i) {
+    sim.ScheduleAt(start + 1.5 * i, [&, i]() {
+      const NodeId sink = rng.UniformInt(0, config.network.node_count - 1);
+      stack.protocol().IssueQuery(sink, rng.PointInRect(config.network.field),
+                                  config.k,
+                                  [&fired, i](const KnnResult&) {
+                                    ++fired[i];
+                                  });
+    });
+  }
+  // Past the last query's timeout: every query has completed.
+  sim.RunUntil(start + 1.5 * kQueries + 20.0);
+  EXPECT_EQ(fired, std::vector<int>(kQueries, 1));
+  EXPECT_EQ(stack.protocol().pending_queries(), 0u);
+  EXPECT_GT(injector.stats().Total(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,38 +1,15 @@
 #include "faults/fault_plan.h"
 
-#include <cstdlib>
 #include <sstream>
-#include <unordered_map>
+
+#include "core/spec_reader.h"
 
 namespace diknn {
 
 namespace {
 
-/// Splits `s` on `sep`, dropping empty pieces (tolerates ";;" and
-/// trailing separators).
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string piece;
-  std::istringstream in(s);
-  while (std::getline(in, piece, sep)) {
-    if (!piece.empty()) out.push_back(piece);
-  }
-  return out;
-}
-
-bool ParseDouble(const std::string& s, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0' && end != s.c_str();
-}
-
-bool ParseInt(const std::string& s, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || end == s.c_str()) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
+using spec::Fail;
+using spec::Split;
 
 std::optional<FaultEvent::Kind> KindFromName(const std::string& name) {
   using Kind = FaultEvent::Kind;
@@ -45,11 +22,6 @@ std::optional<FaultEvent::Kind> KindFromName(const std::string& name) {
   if (name == "freeze") return Kind::kFreeze;
   if (name == "teleport") return Kind::kTeleport;
   return std::nullopt;
-}
-
-bool Fail(std::string* error, const std::string& reason) {
-  if (error != nullptr) *error = reason;
-  return false;
 }
 
 /// Parses one "kind@t=..,k=v,.." clause into `out`.
@@ -66,54 +38,25 @@ bool ParseEvent(const std::string& clause, FaultEvent* out,
   }
   out->kind = *kind;
 
-  std::unordered_map<std::string, std::string> kv;
-  for (const std::string& pair : Split(clause.substr(split + 1), ',')) {
-    const size_t eq = pair.find('=');
-    if (eq == std::string::npos) {
-      return Fail(error, "'" + pair + "': expected key=value");
-    }
-    kv[pair.substr(0, eq)] = pair.substr(eq + 1);
-  }
-
-  const auto take_double = [&](const char* key, double* slot) {
-    auto it = kv.find(key);
-    if (it == kv.end()) return true;
-    if (!ParseDouble(it->second, slot)) {
-      return Fail(error, std::string("bad number for '") + key + "'");
-    }
-    kv.erase(it);
-    return true;
-  };
-  const auto take_int = [&](const char* key, int* slot) {
-    auto it = kv.find(key);
-    if (it == kv.end()) return true;
-    if (!ParseInt(it->second, slot)) {
-      return Fail(error, std::string("bad integer for '") + key + "'");
-    }
-    kv.erase(it);
-    return true;
-  };
-
-  if (!kv.contains("t")) {
+  spec::ClauseReader kv(error);
+  if (!kv.Read(clause.substr(split + 1))) return false;
+  if (!kv.Has("t")) {
     return Fail(error, "'" + clause + "': every event needs t=SECONDS");
   }
-  const bool has_xy = kv.contains("x") && kv.contains("y");
-  if (!take_double("t", &out->at)) return false;
-  if (!take_double("dur", &out->duration)) return false;
-  if (!take_int("node", &out->node)) return false;
-  if (!take_int("count", &out->count)) return false;
-  if (!take_double("prob", &out->probability)) return false;
-  if (!take_int("src", &out->src)) return false;
-  if (!take_int("dst", &out->dst)) return false;
-  if (!take_double("x", &out->position.x)) return false;
-  if (!take_double("y", &out->position.y)) return false;
-  if (!take_double("up", &out->mean_up)) return false;
-  if (!take_double("down", &out->mean_down)) return false;
-  if (!take_double("frac", &out->dead_fraction)) return false;
-  if (!kv.empty()) {
-    return Fail(error, "unknown key '" + kv.begin()->first + "' in '" +
-                           clause + "'");
-  }
+  const bool has_xy = kv.Has("x") && kv.Has("y");
+  if (!kv.TakeDouble("t", &out->at)) return false;
+  if (!kv.TakeDouble("dur", &out->duration)) return false;
+  if (!kv.TakeInt("node", &out->node)) return false;
+  if (!kv.TakeInt("count", &out->count)) return false;
+  if (!kv.TakeDouble("prob", &out->probability)) return false;
+  if (!kv.TakeInt("src", &out->src)) return false;
+  if (!kv.TakeInt("dst", &out->dst)) return false;
+  if (!kv.TakeDouble("x", &out->position.x)) return false;
+  if (!kv.TakeDouble("y", &out->position.y)) return false;
+  if (!kv.TakeDouble("up", &out->mean_up)) return false;
+  if (!kv.TakeDouble("down", &out->mean_down)) return false;
+  if (!kv.TakeDouble("frac", &out->dead_fraction)) return false;
+  if (!kv.Done(clause)) return false;
 
   if (out->at < 0.0) return Fail(error, "t must be >= 0");
   if (out->probability < 0.0 || out->probability > 1.0) {

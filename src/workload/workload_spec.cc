@@ -1,100 +1,15 @@
 #include "workload/workload_spec.h"
 
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
-#include <unordered_map>
-#include <vector>
+
+#include "core/spec_reader.h"
 
 namespace diknn {
 
 namespace {
 
-/// Splits `s` on `sep`, dropping empty pieces (tolerates ";;" and
-/// trailing separators).
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string piece;
-  std::istringstream in(s);
-  while (std::getline(in, piece, sep)) {
-    if (!piece.empty()) out.push_back(piece);
-  }
-  return out;
-}
-
-/// Finite numbers only: NaN would slip past every range check below.
-bool ParseDouble(const std::string& s, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0' && end != s.c_str() &&
-         std::isfinite(*out);
-}
-
-bool ParseInt(const std::string& s, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || end == s.c_str()) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-bool Fail(std::string* error, const std::string& reason) {
-  if (error != nullptr) *error = reason;
-  return false;
-}
-
-/// Key/value list of one clause body ("key=val,key=val").
-bool ParseKv(const std::string& body,
-             std::unordered_map<std::string, std::string>* kv,
-             std::string* error) {
-  for (const std::string& pair : Split(body, ',')) {
-    const size_t eq = pair.find('=');
-    if (eq == std::string::npos) {
-      return Fail(error, "'" + pair + "': expected key=value");
-    }
-    (*kv)[pair.substr(0, eq)] = pair.substr(eq + 1);
-  }
-  return true;
-}
-
-struct KvReader {
-  std::unordered_map<std::string, std::string> kv;
-  std::string* error;
-
-  bool TakeDouble(const char* key, double* slot) {
-    auto it = kv.find(key);
-    if (it == kv.end()) return true;
-    if (!ParseDouble(it->second, slot)) {
-      return Fail(error, std::string("bad number for '") + key + "'");
-    }
-    kv.erase(it);
-    return true;
-  }
-
-  bool TakeInt(const char* key, int* slot) {
-    auto it = kv.find(key);
-    if (it == kv.end()) return true;
-    if (!ParseInt(it->second, slot)) {
-      return Fail(error, std::string("bad integer for '") + key + "'");
-    }
-    kv.erase(it);
-    return true;
-  }
-
-  bool TakeString(const char* key, std::string* slot) {
-    auto it = kv.find(key);
-    if (it == kv.end()) return true;
-    *slot = it->second;
-    kv.erase(it);
-    return true;
-  }
-
-  bool Done(const std::string& clause) {
-    if (kv.empty()) return true;
-    return Fail(error, "unknown key '" + kv.begin()->first + "' in '" +
-                           clause + "'");
-  }
-};
+using spec::Fail;
+using spec::Split;
 
 bool ParseClause(const std::string& clause, WorkloadSpec* out,
                  std::string* error) {
@@ -103,8 +18,8 @@ bool ParseClause(const std::string& clause, WorkloadSpec* out,
     return Fail(error, "'" + clause + "': expected section@key=value,...");
   }
   const std::string section = clause.substr(0, split);
-  KvReader r{{}, error};
-  if (!ParseKv(clause.substr(split + 1), &r.kv, error)) return false;
+  spec::ClauseReader r(error);
+  if (!r.Read(clause.substr(split + 1))) return false;
 
   if (section == "arrival") {
     std::string kind;

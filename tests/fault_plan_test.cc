@@ -91,6 +91,18 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
       FaultPlan::Parse("drop@t=1,dur=2,prob=1.5", &error).has_value());
   // Negative time.
   EXPECT_FALSE(FaultPlan::Parse("kill@t=-1,node=3", &error).has_value());
+  // Non-finite numbers pass no range check, so they never parse.
+  EXPECT_FALSE(FaultPlan::Parse("kill@t=nan,count=2", &error).has_value());
+  EXPECT_NE(error.find("'t'"), std::string::npos) << error;
+  EXPECT_FALSE(FaultPlan::Parse("kill@t=inf,count=2", &error).has_value());
+  EXPECT_FALSE(
+      FaultPlan::Parse("drop@t=1,dur=2,prob=nan", &error).has_value());
+  // Integers outside int range are rejected, not wrapped.
+  EXPECT_FALSE(
+      FaultPlan::Parse("kill@t=5,count=99999999999", &error).has_value());
+  EXPECT_NE(error.find("'count'"), std::string::npos) << error;
+  EXPECT_FALSE(
+      FaultPlan::Parse("freeze@t=1,node=4294967299", &error).has_value());
 }
 
 TEST(FaultInjectorTest, KillsRandomNodesSparingProtectedPrefix) {

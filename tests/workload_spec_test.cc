@@ -163,6 +163,10 @@ TEST(WorkloadSpecTest, RejectsMalformedSpecs) {
       "deadline@s=nan",
       "deadline@s=inf",
       "cache@ttl=inf",
+      // Integers outside int range are rejected, not wrapped.
+      "arrival@kind=poisson,rate=1;k@lo=4294967297",
+      "admit@inflight=99999999999",
+      "k@lo=5,hi=-4294967291",
   };
   for (const char* s : bad) {
     std::string error;

@@ -10,7 +10,6 @@
 #include <limits>
 #include <utility>
 
-#include "core/status.h"
 #include "sim/event_queue.h"
 
 namespace diknn {

@@ -48,13 +48,16 @@ void PrintUsage(const char* argv0) {
       "  --shards N        worker threads inside each run (default 1 =\n"
       "                    the serial engine). > 1 tiles the field\n"
       "                    (strips, or a 2-D grid on narrow fields) on\n"
-      "                    the conservative parallel engine (src/psim):\n"
-      "                    beacons plus — with --workload — the full\n"
-      "                    query plane; SLO report and traffic counters\n"
-      "                    equal at any shard count; total threads =\n"
-      "                    jobs x shards. That engine runs its own DIKNN\n"
-      "                    emulation on a uniform field, so it exits 2\n"
-      "                    on --protocol other than diknn, --faults,\n"
+      "                    the conservative parallel engine (src/psim),\n"
+      "                    which runs the --workload spec's query plane\n"
+      "                    over the beacon substrate; SLO report and\n"
+      "                    traffic counters equal at any shard count;\n"
+      "                    total threads = jobs x shards. That engine\n"
+      "                    runs its own DIKNN emulation on a uniform\n"
+      "                    field and has no energy model or accuracy\n"
+      "                    oracle (those columns print n/a). It exits 2\n"
+      "                    without --workload, on a spec with trace@,\n"
+      "                    and on --protocol other than diknn, --faults,\n"
       "                    --audit, --placement other than uniform,\n"
       "                    --mobility group, --trace, --trace-out,\n"
       "                    --trace-sample, --no-rendezvous and --gain\n"
@@ -173,6 +176,15 @@ double PositiveFlag(const std::string& flag, const char* text) {
   const double v = RealFlag(flag, text, 0.0, kNoLimit, "a number > 0");
   if (v == 0.0) BadValue(flag, text, "a number > 0");
   return v;
+}
+
+/// `fmt` applied to `value`, or "n/a" for a quantity the run's engine
+/// never measured.
+std::string Measured(bool measured, const char* fmt, double value) {
+  if (!measured) return "n/a";
+  char text[32];
+  std::snprintf(text, sizeof(text), fmt, value);
+  return text;
 }
 
 std::optional<ProtocolKind> ParseProtocol(const std::string& name) {
@@ -321,7 +333,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (config.shards > 1 || config.force_windowed) {
+  // The windowed engine (src/psim) has no energy model and no
+  // ground-truth oracle, so its runs measure neither energy nor accuracy.
+  const bool windowed = config.shards > 1 || config.force_windowed;
+  if (windowed) {
     // The windowed engine reads none of these: refuse them rather than
     // run something else under their name.
     const std::pair<bool, const char*> serial_only[] = {
@@ -336,6 +351,8 @@ int main(int argc, char** argv) {
         {trace_sample.has_value(), "--trace-sample"},
         {!config.diknn.rendezvous, "--no-rendezvous"},
         {gain_set, "--gain"},
+        {config.workload.has_value() && config.workload->trace_sample > 0.0,
+         "the workload's trace@ clause"},
     };
     bool rejected = false;
     for (const auto& [given, flag] : serial_only) {
@@ -345,6 +362,14 @@ int main(int argc, char** argv) {
                    "would ignore it; it runs its own DIKNN emulation on a "
                    "uniform field, without faults, audit or traces\n",
                    flag);
+      rejected = true;
+    }
+    // Without a spec it would run beacons only and report zero queries.
+    if (!config.workload.has_value()) {
+      std::fprintf(stderr,
+                   "the windowed engine (--shards > 1, --windowed) needs "
+                   "--workload: it issues queries only from a workload "
+                   "spec\n");
       rejected = true;
     }
     if (rejected) return 2;
@@ -427,22 +452,27 @@ int main(int argc, char** argv) {
     const uint64_t seed = config.base_seed + i;
     const RunMetrics& m = runs[i];
     if (csv) {
-      std::printf("%s,%d,%llu,%d,%d,%.4f,%.4f,%.4f,%.4f,%.2f,"
+      std::printf("%s,%d,%llu,%d,%d,%.4f,%s,%s,%s,%.2f,"
                   "%llu,%llu,%llu,%llu\n",
                   ProtocolName(config.protocol), config.k,
                   static_cast<unsigned long long>(seed), m.queries,
-                  m.timeouts, m.avg_latency, m.energy_joules,
-                  m.avg_pre_accuracy, m.avg_post_accuracy, m.average_degree,
+                  m.timeouts, m.avg_latency,
+                  Measured(!windowed, "%.4f", m.energy_joules).c_str(),
+                  Measured(!windowed, "%.4f", m.avg_pre_accuracy).c_str(),
+                  Measured(!windowed, "%.4f", m.avg_post_accuracy).c_str(),
+                  m.average_degree,
                   static_cast<unsigned long long>(m.faults_injected),
                   static_cast<unsigned long long>(m.lifecycle_checks),
                   static_cast<unsigned long long>(m.lifecycle_violations),
                   static_cast<unsigned long long>(m.leaked_entries));
     } else {
       std::printf("  run %d (seed %llu): %d queries, latency %.2fs, "
-                  "energy %.3fJ, pre %.2f, post %.2f%s\n",
+                  "energy %s, pre %s, post %s%s\n",
                   i, static_cast<unsigned long long>(seed), m.queries,
-                  m.avg_latency, m.energy_joules, m.avg_pre_accuracy,
-                  m.avg_post_accuracy,
+                  m.avg_latency,
+                  Measured(!windowed, "%.3fJ", m.energy_joules).c_str(),
+                  Measured(!windowed, "%.2f", m.avg_pre_accuracy).c_str(),
+                  Measured(!windowed, "%.2f", m.avg_post_accuracy).c_str(),
                   m.timeouts > 0 ? " (timeouts)" : "");
       if (!config.faults.empty() || config.audit_lifecycle) {
         std::printf("    faults=%llu lifecycle: checks=%llu violations=%llu "
@@ -459,10 +489,12 @@ int main(int argc, char** argv) {
   if (!csv || !metrics_out_path.empty() || !ts_out_path.empty()) {
     const ExperimentMetrics agg = AggregateRuns(runs);
     if (!csv) {
-      std::printf("mean: latency %.2f±%.2fs, energy %.3fJ, pre %.2f, "
-                  "post %.2f, timeout rate %.0f%%\n",
-                  agg.latency.mean, agg.latency.stddev, agg.energy.mean,
-                  agg.pre_accuracy.mean, agg.post_accuracy.mean,
+      std::printf("mean: latency %.2f±%.2fs, energy %s, pre %s, post %s, "
+                  "timeout rate %.0f%%\n",
+                  agg.latency.mean, agg.latency.stddev,
+                  Measured(!windowed, "%.3fJ", agg.energy.mean).c_str(),
+                  Measured(!windowed, "%.2f", agg.pre_accuracy.mean).c_str(),
+                  Measured(!windowed, "%.2f", agg.post_accuracy.mean).c_str(),
                   100 * agg.timeout_rate.mean);
       if (config.workload.has_value()) {
         std::printf("slo:  %s\n", agg.slo.Format().c_str());

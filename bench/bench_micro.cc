@@ -83,7 +83,7 @@ void BM_ItineraryPointAt(benchmark::State& state) {
 }
 BENCHMARK(BM_ItineraryPointAt);
 
-void BM_GabrielPlanarization(benchmark::State& state) {
+void BM_GabrielNeighbors(benchmark::State& state) {
   Rng rng(42);
   std::vector<NeighborEntry> neighbors;
   for (int i = 0; i < state.range(0); ++i) {
@@ -96,7 +96,7 @@ void BM_GabrielPlanarization(benchmark::State& state) {
     benchmark::DoNotOptimize(GabrielNeighbors({0, 0}, neighbors));
   }
 }
-BENCHMARK(BM_GabrielPlanarization)->Arg(10)->Arg(20)->Arg(40);
+BENCHMARK(BM_GabrielNeighbors)->Arg(10)->Arg(20)->Arg(40);
 
 void BM_RTreeInsert(benchmark::State& state) {
   Rng rng(7);

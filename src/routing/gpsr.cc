@@ -23,15 +23,26 @@ size_t GeoRoutedMessage::WireBytes() const {
   return bytes;
 }
 
-GpsrRouting::GpsrRouting(Network* network, GpsrParams params)
-    : network_(network), params_(params) {
-  if (params_.ttl <= 0) {
-    const Rect& field = network_->config().field;
-    const double diagonal = std::hypot(field.Width(), field.Height());
-    params_.ttl = std::max(
-        96, static_cast<int>(8.0 * diagonal /
-                             network_->config().radio_range_m));
-  }
+namespace {
+
+// Geocast shortcut: a greedy local minimum within this fraction of the
+// radio range of the destination delivers immediately instead of walking
+// the perimeter. The local minimum is within ~r of every node on its face,
+// so it is the destination's home node for all practical purposes; the
+// full face walk (~8 hops) is only worth its cost when the packet is still
+// far away (a true void). DESIGN.md §6 deviation 3.
+constexpr double kDirectDeliveryFraction = 0.75;
+
+}  // namespace
+
+GpsrRouting::GpsrRouting(Network* network) : network_(network) {
+  // Hop budget: max(96, 8 * diagonal / r), enough for greedy progress
+  // plus perimeter walks around large voids without letting stranded
+  // packets wander forever on small fields.
+  const Rect& field = network_->config().field;
+  const double diagonal = std::hypot(field.Width(), field.Height());
+  ttl_ = std::max(
+      96, static_cast<int>(8.0 * diagonal / network_->config().radio_range_m));
   // Size the fork-suppression table and its eviction FIFO once;
   // steady-state flow churn then never rehashes or grows the ring (the +1
   // covers the transient insert-before-evict).
@@ -95,7 +106,7 @@ void GpsrRouting::Send(Node* src, Point destination, MessageType inner_type,
   msg->inner_type = inner_type;
   msg->inner = std::move(inner);
   msg->inner_bytes = inner_bytes;
-  msg->ttl = params_.ttl;
+  msg->ttl = ttl_;
   msg->collect_info = collect_info;
   msg->flow_id = next_flow_id_++;
   msg->trace = trace;
@@ -200,7 +211,7 @@ void GpsrRouting::Forward(Node* node, std::shared_ptr<GeoRoutedMessage> msg,
     // (possibly beacon-gapped) table: the perimeter walk consults the
     // neighboring tables and almost always finds the target.
     if ((msg->target_node == kInvalidNodeId || msg->cheap_delivery) &&
-        d_self <= params_.direct_delivery_fraction *
+        d_self <= kDirectDeliveryFraction *
                       network_->config().radio_range_m) {
       Deliver(node, *msg);
       return;
@@ -219,11 +230,7 @@ void GpsrRouting::Forward(Node* node, std::shared_ptr<GeoRoutedMessage> msg,
 
   // Perimeter mode: right-hand rule on the planarized neighbor set.
   std::vector<NeighborEntry>& planar = planar_scratch_;
-  if (params_.planarization == Planarization::kGabriel) {
-    GabrielNeighborsInto(self, neighbors, &planar);
-  } else {
-    RngNeighborsInto(self, neighbors, &planar);
-  }
+  GabrielNeighborsInto(self, neighbors, &planar);
   if (planar.empty()) {
     ++stats_.dropped_no_neighbor;
     Deliver(node, *msg);

@@ -118,29 +118,6 @@ struct GeoRoutedMessage : Message {
   }
 };
 
-/// Planar subgraph used by perimeter mode.
-enum class Planarization {
-  kGabriel,  ///< Gabriel graph (GPSR's default; denser, shorter faces).
-  kRng,      ///< Relative neighborhood graph (sparser subgraph of GG).
-};
-
-/// GPSR configuration.
-struct GpsrParams {
-  Planarization planarization = Planarization::kGabriel;
-  /// Hop budget; exhausted packets deliver in place. 0 (the default)
-  /// auto-sizes from the field geometry: max(96, 8 * diagonal / r),
-  /// enough for greedy progress plus perimeter walks around large voids
-  /// without letting stranded packets wander forever on small fields.
-  int ttl = 0;
-  /// Geocast shortcut: a greedy local minimum within this fraction of the
-  /// radio range of the destination delivers immediately instead of
-  /// walking the perimeter. The local minimum is within ~r of every node
-  /// on its face, so it is the destination's home node for all practical
-  /// purposes; the full face walk (~8 hops) is only worth its cost when
-  /// the packet is still far away (a true void). Set to 0 to disable.
-  double direct_delivery_fraction = 0.75;
-};
-
 /// Per-network GPSR routing service. Install() registers a handler for
 /// MessageType::kGeoRouted on every node; upper layers register per-inner-
 /// type delivery callbacks and call Send().
@@ -165,7 +142,7 @@ class GpsrRouting {
   /// Bound on the per-flow progress table (FIFO eviction).
   static constexpr size_t kFlowCapacity = 4096;
 
-  GpsrRouting(Network* network, GpsrParams params = {});
+  explicit GpsrRouting(Network* network);
 
   /// Registers the kGeoRouted handler on every node. Call once.
   void Install();
@@ -215,7 +192,9 @@ class GpsrRouting {
                       EnergyCategory category);
 
   Network* network_;
-  GpsrParams params_;
+  // Hop budget of every sent envelope; exhausted packets deliver in
+  // place. Sized from the field geometry by the constructor.
+  int ttl_ = 0;
   // Delivery dispatch indexed by the inner MessageType value (no ordered
   // map walk, no iteration-order sensitivity).
   std::array<DeliveryHandler, kMessageTypeSpan> deliveries_;

@@ -1,7 +1,5 @@
 #include "routing/planarize.h"
 
-#include <algorithm>
-
 #include "core/alloc_probe.h"
 
 namespace diknn {
@@ -31,42 +29,10 @@ void GabrielNeighborsInto(const Point& self,
   }
 }
 
-void RngNeighborsInto(const Point& self,
-                      const std::vector<NeighborEntry>& neighbors,
-                      std::vector<NeighborEntry>* out) {
-  out->clear();
-  if (out->capacity() < neighbors.size()) {
-    // Persistent-scratch growth: capacity, see GabrielNeighborsInto.
-    AllocScopePause capacity;
-    out->reserve(neighbors.size());
-  }
-  for (const NeighborEntry& v : neighbors) {
-    const double duv2 = SquaredDistance(self, v.position);
-    bool witnessed = false;
-    for (const NeighborEntry& w : neighbors) {
-      if (w.id == v.id) continue;
-      const double m2 = std::max(SquaredDistance(self, w.position),
-                                 SquaredDistance(v.position, w.position));
-      if (m2 < duv2) {
-        witnessed = true;
-        break;
-      }
-    }
-    if (!witnessed) out->push_back(v);
-  }
-}
-
 std::vector<NeighborEntry> GabrielNeighbors(
     const Point& self, const std::vector<NeighborEntry>& neighbors) {
   std::vector<NeighborEntry> out;
   GabrielNeighborsInto(self, neighbors, &out);
-  return out;
-}
-
-std::vector<NeighborEntry> RngNeighbors(
-    const Point& self, const std::vector<NeighborEntry>& neighbors) {
-  std::vector<NeighborEntry> out;
-  RngNeighborsInto(self, neighbors, &out);
   return out;
 }
 

@@ -25,17 +25,8 @@ void GabrielNeighborsInto(const Point& self,
                           const std::vector<NeighborEntry>& neighbors,
                           std::vector<NeighborEntry>* out);
 
-/// Relative Neighborhood Graph (RNG) variant: the edge (u, v) survives iff
-/// no witness w with max(d(u,w), d(v,w)) < d(u,v). RNG is a subgraph of GG
-/// (sparser); provided for ablations.
-void RngNeighborsInto(const Point& self,
-                      const std::vector<NeighborEntry>& neighbors,
-                      std::vector<NeighborEntry>* out);
-
-/// Allocating conveniences (tests, offline analysis).
+/// Allocating convenience (tests, offline analysis).
 std::vector<NeighborEntry> GabrielNeighbors(
-    const Point& self, const std::vector<NeighborEntry>& neighbors);
-std::vector<NeighborEntry> RngNeighbors(
     const Point& self, const std::vector<NeighborEntry>& neighbors);
 
 }  // namespace diknn

@@ -166,37 +166,6 @@ TEST_F(GpsrTest, MobileNetworkStillDelivers) {
   EXPECT_GE(deliveries_, attempts - 1);
 }
 
-TEST_F(GpsrTest, RngPlanarizationAlsoDelivers) {
-  // Perimeter mode on the sparser RNG subgraph still routes around the
-  // void of RoutesAroundVoid.
-  NetworkConfig config;
-  config.field = Rect::Field(200, 120);
-  config.mobility = MobilityKind::kStatic;
-  config.seed = 9;
-  config.explicit_positions = {
-      {10, 60},  {25, 60},  {40, 60},  {55, 60},
-      {50, 75},  {50, 90},  {68, 94},  {86, 95},
-      {104, 95}, {120, 85}, {125, 68}, {140, 62},
-      {158, 60},
-  };
-  net_ = std::make_unique<Network>(config);
-  GpsrParams params;
-  params.planarization = Planarization::kRng;
-  gpsr_ = std::make_unique<GpsrRouting>(net_.get(), params);
-  gpsr_->Install();
-  gpsr_->RegisterDelivery(MessageType::kDiknnQuery,
-                          [this](Node* node, const GeoRoutedMessage&) {
-                            delivered_at_ = node->id();
-                            ++deliveries_;
-                          });
-  net_->Warmup(1.6);
-  gpsr_->Send(net_->node(0), Point{160, 60}, MessageType::kDiknnQuery,
-              std::make_shared<PingMessage>(9), 10, EnergyCategory::kQuery);
-  net_->sim().RunUntil(net_->sim().Now() + 5.0);
-  ASSERT_EQ(deliveries_, 1);
-  EXPECT_EQ(delivered_at_, 12);
-}
-
 TEST_F(GpsrTest, CheapDeliveryAcceptsNearbyNode) {
   Build(StaticGrid(100, 100));
   // Address a node with a position several cells away from where it

@@ -47,32 +47,6 @@ TEST(GabrielTest, SquareCornersAreBoundaryNotWitnesses) {
   for (const auto& e : nudged) EXPECT_NE(e.id, 3);
 }
 
-TEST(RngGraphTest, SubgraphOfGabriel) {
-  Rng rng(11);
-  for (int trial = 0; trial < 50; ++trial) {
-    const Point self = rng.PointInRect({{0, 0}, {50, 50}});
-    std::vector<NeighborEntry> neighbors;
-    const int n = rng.UniformInt(2, 15);
-    for (int i = 0; i < n; ++i) {
-      NeighborEntry e;
-      e.id = i;
-      e.position = rng.PointInRect({{0, 0}, {50, 50}});
-      neighbors.push_back(e);
-    }
-    const auto gg = GabrielNeighbors(self, neighbors);
-    const auto rngg = RngNeighbors(self, neighbors);
-    // Every RNG edge must also be a GG edge.
-    for (const auto& r : rngg) {
-      bool found = false;
-      for (const auto& g : gg) {
-        if (g.id == r.id) found = true;
-      }
-      EXPECT_TRUE(found) << "RNG edge " << r.id << " missing from GG";
-    }
-    EXPECT_LE(rngg.size(), gg.size());
-  }
-}
-
 TEST(GabrielTest, PlanarEdgesDoNotCross) {
   // Global planarity check on a random unit-disk graph: compute each
   // node's Gabriel edges and verify no two (as segments) properly cross.
@@ -112,7 +86,6 @@ TEST(GabrielTest, PlanarEdgesDoNotCross) {
 
 TEST(GabrielTest, EmptyNeighborsYieldsEmpty) {
   EXPECT_TRUE(GabrielNeighbors({0, 0}, {}).empty());
-  EXPECT_TRUE(RngNeighbors({0, 0}, {}).empty());
 }
 
 }  // namespace

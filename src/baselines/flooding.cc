@@ -1,7 +1,8 @@
 #include "baselines/flooding.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "knn/knnb.h"
 
 namespace diknn {
 
@@ -69,12 +70,9 @@ void Flooding::OnHomeNodeArrival(Node* node, const GeoRoutedMessage& msg) {
       static_cast<const QueryBootstrap*>(msg.inner.get());
   const KnnQuery& query = bootstrap->query;
 
-  const Rect& field = network_->config().field;
-  const double max_radius = params_.max_radius_factor * 0.5 *
-                            std::hypot(field.Width(), field.Height());
   const KnnbResult knnb =
       Knnb(msg.info_list, query.q, network_->config().radio_range_m,
-           query.k, max_radius, params_.knnb_area_model);
+           query.k, KnnbMaxRadius(network_->config().field));
 
   auto flood = std::make_shared<FloodMessage>();
   flood->query = query;

@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "knn/knnb.h"
 #include "knn/query.h"
 #include "knn/query_ledger.h"
 #include "net/network.h"
@@ -25,8 +24,6 @@ struct FloodingParams {
   double rebroadcast_jitter = 0.02;  ///< Max forwarding jitter (s).
   SimTime collect_window = 3.0;      ///< Sink waits this long for replies.
   SimTime query_timeout = 8.0;
-  double max_radius_factor = 1.5;
-  KnnbAreaModel knnb_area_model = KnnbAreaModel::kLune;  ///< See knnb.h.
 };
 
 /// Flooding behaviour counters.

@@ -26,7 +26,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "knn/knnb.h"
 #include "knn/query.h"
 #include "knn/query_ledger.h"
 #include "net/network.h"
@@ -51,8 +50,6 @@ struct KptParams {
                                  ///  the latency growth of Figs. 8(a)/9(a).
   int max_grace_rounds = 2;      ///< Deadline extensions per tree node.
   SimTime query_timeout = 8.0;   ///< Sink-side completion timeout.
-  double max_radius_factor = 1.5;
-  KnnbAreaModel knnb_area_model = KnnbAreaModel::kLune;  ///< See knnb.h.
   /// Use the *original* KPT conservative boundary R = k * MHD instead of
   /// KNNB (the paper replaced it for the comparison because "the query
   /// execution can easily flood the entire network" — with this on, it

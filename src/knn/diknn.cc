@@ -57,13 +57,6 @@ double Diknn::EffectiveWidth() const {
              : DefaultItineraryWidth(network_->config().radio_range_m);
 }
 
-double Diknn::MaxBoundaryRadius() const {
-  const Rect& field = network_->config().field;
-  const double half_diagonal =
-      0.5 * std::hypot(field.Width(), field.Height());
-  return params_.max_radius_factor * half_diagonal;
-}
-
 Itinerary& Diknn::RebuildItinerary(const SectorState& state) {
   ItineraryParams ip;
   ip.q = state.query.q;
@@ -210,7 +203,8 @@ void Diknn::OnHomeNodeArrival(Node* node, const GeoRoutedMessage& msg) {
   // Phase 2: KNN boundary estimation over the gathered list L.
   const KnnbResult knnb =
       Knnb(msg.info_list, query.q, network_->config().radio_range_m,
-           query.k, MaxBoundaryRadius(), params_.knnb_area_model);
+           query.k, KnnbMaxRadius(network_->config().field),
+           params_.knnb_area_model);
   stats_.knnb_radius_sum += knnb.radius;
   ++stats_.knnb_runs;
 

@@ -78,7 +78,6 @@ struct DiknnParams {
   double step_fraction = 0.8;   ///< Q-node hop length as a fraction of r.
   int max_void_skips = 6;       ///< Lookahead extensions before giving up.
   int max_extra_rings = 4;      ///< Cap on dynamic boundary expansion.
-  double max_radius_factor = 1.5;  ///< KNNB radius cap vs field diagonal.
   KnnbAreaModel knnb_area_model = KnnbAreaModel::kLune;  ///< See knnb.h.
   SimTime query_timeout = 8.0;  ///< Sink-side completion timeout.
   /// Once sector results start arriving, the sink stops waiting for the
@@ -387,7 +386,6 @@ class Diknn : public KnnProtocol {
   void RecycleReplies(std::vector<KnnCandidate>* replies);
 
   double EffectiveWidth() const;
-  double MaxBoundaryRadius() const;
 
   // True while `query_id` is in flight at the sink. Every handler that
   // touches per-query state guards on this: once CompleteQuery tears a

@@ -82,6 +82,10 @@ KnnbResult Knnb(const std::vector<RouteHopInfo>& info_list, const Point& q,
   return result;
 }
 
+double KnnbMaxRadius(const Rect& field) {
+  return 1.5 * (0.5 * std::hypot(field.Width(), field.Height()));
+}
+
 double KptConservativeRadius(int k, double mean_hop_distance) {
   return static_cast<double>(k) * mean_hop_distance;
 }

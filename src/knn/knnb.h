@@ -59,6 +59,11 @@ KnnbResult Knnb(const std::vector<RouteHopInfo>& info_list, const Point& q,
                 double r, int k, double max_radius,
                 KnnbAreaModel area_model = KnnbAreaModel::kLune);
 
+/// Cap on the KNNB radius for a field: 1.5 x half its diagonal. A sparse
+/// list can extrapolate an R far past the field; the cap keeps the
+/// boundary (and the traversal sized by it) on the field's scale.
+double KnnbMaxRadius(const Rect& field);
+
 /// Area of the region inside a disk of radius `r` centered at distance
 /// `d` from another equal disk, but outside that other disk (the "lune").
 /// Equals pi*r^2 when the disks do not overlap (d >= 2r).

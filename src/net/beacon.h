@@ -47,8 +47,6 @@ class BeaconService {
   /// Starts beaconing (registers handlers and schedules the first round).
   void Start();
 
-  SimTime interval() const { return interval_; }
-
  private:
   /// One fleet entry in the phase-sorted sweep. `next_time` advances by
   /// `interval_` per round with the same floating-point accumulation a

@@ -118,7 +118,6 @@ class Channel {
 
   const ChannelParams& params() const { return params_; }
   const ChannelStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = ChannelStats{}; }
 
   /// Grid cell edge length (m); 0 until the grid is first built. Exposed
   /// for tests.

@@ -89,9 +89,6 @@ class Mac {
 
   const MacStats& stats() const { return stats_; }
 
-  /// Frames currently queued or in flight.
-  size_t QueueDepth() const { return queue_.size(); }
-
  private:
   struct OutFrame {
     Packet packet;

@@ -1,25 +1,10 @@
 #include "net/mobility.h"
 
+#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 
 namespace diknn {
-
-Point LinearMobility::PositionAt(SimTime t) {
-  // Reflecting boundaries: fold the unbounded position into the field by
-  // mirroring. Handles arbitrarily many reflections in O(1) via fmod.
-  auto reflect = [](double v, double lo, double hi) {
-    const double span = hi - lo;
-    if (span <= 0.0) return lo;
-    double u = std::fmod(v - lo, 2.0 * span);
-    if (u < 0.0) u += 2.0 * span;
-    return lo + (u <= span ? u : 2.0 * span - u);
-  };
-  const Point raw = start_ + velocity_ * t;
-  return {reflect(raw.x, field_.min.x, field_.max.x),
-          reflect(raw.y, field_.min.y, field_.max.y)};
-}
 
 RandomWaypointMobility::RandomWaypointMobility(Point start, Rect field,
                                                double max_speed, Rng rng)

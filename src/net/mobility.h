@@ -70,23 +70,6 @@ class StaticMobility : public MobilityModel {
   Point position_;
 };
 
-/// Constant-velocity motion with reflection at the field boundary. Used in
-/// tests where a predictable trajectory is needed.
-class LinearMobility : public MobilityModel {
- public:
-  LinearMobility(Point start, Point velocity, Rect field)
-      : start_(start), velocity_(velocity), field_(field) {}
-
-  Point PositionAt(SimTime t) override;
-  double SpeedAt(SimTime) override { return velocity_.Norm(); }
-  double MaxSpeed() const override { return velocity_.Norm(); }
-
- private:
-  Point start_;
-  Point velocity_;
-  Rect field_;
-};
-
 /// Random waypoint (RWP) model per the paper's Section 5.1: "each sensor
 /// node selects an arbitrary destination and moves to the destination at a
 /// random speed ranging from 0 to mu_max. Upon arrival, the node selects a
@@ -107,9 +90,6 @@ class RandomWaypointMobility : public MobilityModel {
   double MaxSpeed() const override {
     return max_speed_ < kMinSpeed ? 0.0 : max_speed_;
   }
-
-  /// Maximum speed this node can ever move at.
-  double max_speed() const { return max_speed_; }
 
  private:
   // Advances leg state so that `t` falls inside the current leg.

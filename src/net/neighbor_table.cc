@@ -1,6 +1,5 @@
 #include "net/neighbor_table.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "core/alloc_probe.h"
@@ -79,12 +78,6 @@ std::optional<NeighborEntry> NeighborTable::Lookup(NodeId id,
   return NeighborEntry{ids_[i], positions_[i], speeds_[i], last_heard_[i]};
 }
 
-std::vector<NeighborEntry> NeighborTable::Snapshot(SimTime now) const {
-  std::vector<NeighborEntry> out;
-  SnapshotInto(now, &out);
-  return out;
-}
-
 void NeighborTable::SnapshotInto(SimTime now,
                                  std::vector<NeighborEntry>* out) const {
   out->clear();
@@ -125,20 +118,6 @@ std::optional<NeighborEntry> NeighborTable::ClosestTo(const Point& target,
                        last_heard_[best]};
 }
 
-std::vector<NeighborEntry> NeighborTable::CloserThan(const Point& target,
-                                                     double threshold,
-                                                     SimTime now) const {
-  std::vector<NeighborEntry> out;
-  const double t2 = threshold * threshold;
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    if (FreshAt(i, now) && SquaredDistance(positions_[i], target) < t2) {
-      out.push_back(
-          NeighborEntry{ids_[i], positions_[i], speeds_[i], last_heard_[i]});
-    }
-  }
-  return out;
-}
-
 int NeighborTable::CountFartherThan(const Point& from, double radius,
                                     SimTime now) const {
   int count = 0;
@@ -147,14 +126,6 @@ int NeighborTable::CountFartherThan(const Point& from, double radius,
     if (FreshAt(i, now) && SquaredDistance(positions_[i], from) > r2) ++count;
   }
   return count;
-}
-
-double NeighborTable::MaxNeighborSpeed(SimTime now) const {
-  double max_speed = 0.0;
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    if (FreshAt(i, now)) max_speed = std::max(max_speed, speeds_[i]);
-  }
-  return max_speed;
 }
 
 }  // namespace diknn

@@ -62,10 +62,6 @@ class NeighborTable {
   /// Live entry for `id`, if present and fresh at `now`.
   std::optional<NeighborEntry> Lookup(NodeId id, SimTime now) const;
 
-  /// All fresh entries at time `now`. Allocates the result vector; hot
-  /// paths should use SnapshotInto with a reused scratch buffer instead.
-  std::vector<NeighborEntry> Snapshot(SimTime now) const;
-
   /// Clears `out` and fills it with all fresh entries at `now`, in table
   /// (insertion) order. Reusing `out` across calls makes this
   /// allocation-free once it has reached its high-water capacity.
@@ -88,19 +84,9 @@ class NeighborTable {
   std::optional<NeighborEntry> ClosestTo(const Point& target,
                                          SimTime now) const;
 
-  /// Fresh neighbors strictly closer to `target` than `threshold` meters.
-  std::vector<NeighborEntry> CloserThan(const Point& target, double threshold,
-                                        SimTime now) const;
-
   /// Counts fresh neighbors farther than `radius` from `from` — the
   /// "newly encountered neighbors" enc_i of the paper's Section 4.1.
   int CountFartherThan(const Point& from, double radius, SimTime now) const;
-
-  /// The maximum advertised speed among fresh neighbors (0 if none) — the
-  /// mu record used by the paper's mobility-assurance mechanism.
-  double MaxNeighborSpeed(SimTime now) const;
-
-  SimTime timeout() const { return timeout_; }
 
  private:
   bool FreshAt(size_t i, SimTime now) const {

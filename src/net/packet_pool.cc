@@ -96,10 +96,4 @@ void TrimThreadCaches() {
 
 }  // namespace packet_pool_detail
 
-void MessagePool::ResetThreadStats() {
-  MessagePoolStats& stats = packet_pool_detail::ThreadStats();
-  stats.fresh_allocations = 0;
-  stats.reuses = 0;
-}
-
 }  // namespace diknn

@@ -178,9 +178,6 @@ class MessagePool {
 
   /// Units currently checked out on this thread.
   static uint64_t ThreadLive() { return ThreadStats().live; }
-
-  /// Resets the traffic counters (not `live`) on this thread.
-  static void ResetThreadStats();
 };
 
 /// Generation-tagged slab of reusable `T` slots addressed by opaque

@@ -46,7 +46,6 @@ class SensorField {
   Point SourcePosition(size_t i, SimTime t) const;
 
   size_t num_sources() const { return sources_.size(); }
-  double baseline() const { return baseline_; }
 
   /// Convenience: a field with `count` random sources inside `bounds`,
   /// drifting at up to `max_drift` m/s.

@@ -44,8 +44,10 @@ TEST(BeaconTest, BeaconsCarryPositionAndSpeed) {
   net.Warmup(1.6);
   const SimTime now = net.sim().Now();
   int checked = 0;
+  std::vector<NeighborEntry> snap;
   for (int u = 0; u < net.size(); ++u) {
-    for (const NeighborEntry& e : net.node(u)->neighbors().Snapshot(now)) {
+    net.node(u)->neighbors().SnapshotInto(now, &snap);
+    for (const NeighborEntry& e : snap) {
       // The advertised position is at most (staleness * max speed) off.
       const double staleness = now - e.last_heard;
       const double error =

@@ -14,25 +14,6 @@ TEST(StaticMobilityTest, NeverMoves) {
   EXPECT_DOUBLE_EQ(m.SpeedAt(5.0), 0.0);
 }
 
-TEST(LinearMobilityTest, MovesAtConstantVelocity) {
-  LinearMobility m({10, 10}, {1, 2}, kField);
-  EXPECT_EQ(m.PositionAt(0.0), Point(10, 10));
-  EXPECT_EQ(m.PositionAt(5.0), Point(15, 20));
-  EXPECT_NEAR(m.SpeedAt(0.0), std::sqrt(5.0), 1e-12);
-}
-
-TEST(LinearMobilityTest, ReflectsAtBoundary) {
-  LinearMobility m({90, 50}, {10, 0}, kField);
-  // Reaches x=100 at t=1, then reflects back.
-  EXPECT_NEAR(m.PositionAt(1.0).x, 100.0, 1e-9);
-  EXPECT_NEAR(m.PositionAt(2.0).x, 90.0, 1e-9);
-  EXPECT_NEAR(m.PositionAt(11.0).x, 0.0, 1e-9);
-  // Stays in the field at all times, including many reflections later.
-  for (double t = 0; t < 100; t += 0.37) {
-    EXPECT_TRUE(kField.Contains(m.PositionAt(t))) << t;
-  }
-}
-
 TEST(RandomWaypointTest, StartsAtGivenPosition) {
   RandomWaypointMobility m({30, 40}, kField, 10.0, Rng(1));
   EXPECT_EQ(m.PositionAt(0.0), Point(30, 40));

@@ -32,7 +32,9 @@ TEST(NeighborTableTest, StaleEntriesInvisible) {
   EXPECT_TRUE(table.Lookup(7, 11.5).has_value());   // Exactly at timeout.
   EXPECT_FALSE(table.Lookup(7, 11.51).has_value());
   EXPECT_EQ(table.CountFresh(12.0), 0);
-  EXPECT_TRUE(table.Snapshot(12.0).empty());
+  std::vector<NeighborEntry> snap;
+  table.SnapshotInto(12.0, &snap);
+  EXPECT_TRUE(snap.empty());
 }
 
 TEST(NeighborTableTest, ExpirePurgesOldEntries) {
@@ -56,7 +58,8 @@ TEST(NeighborTableTest, SnapshotReturnsFreshOnly) {
   table.Update(1, {0, 0}, 0.0, 0.0);
   table.Update(2, {1, 1}, 0.0, 2.0);
   table.Update(3, {2, 2}, 0.0, 2.5);
-  const auto snap = table.Snapshot(2.6);
+  std::vector<NeighborEntry> snap;
+  table.SnapshotInto(2.6, &snap);
   EXPECT_EQ(snap.size(), 2u);
 }
 
@@ -75,15 +78,6 @@ TEST(NeighborTableTest, ClosestToEmptyIsNullopt) {
   EXPECT_FALSE(table.ClosestTo({0, 0}, 0.0).has_value());
 }
 
-TEST(NeighborTableTest, CloserThanFiltersStrictly) {
-  NeighborTable table(10.0);
-  table.Update(1, {1, 0}, 0.0, 0.0);
-  table.Update(2, {5, 0}, 0.0, 0.0);
-  table.Update(3, {2.99, 0}, 0.0, 0.0);
-  const auto close = table.CloserThan({0, 0}, 3.0, 0.0);
-  EXPECT_EQ(close.size(), 2u);
-}
-
 TEST(NeighborTableTest, CountFartherThanMatchesEncSemantics) {
   NeighborTable table(10.0);
   // Previous hop at origin, radio range 5: "newly encountered" neighbors
@@ -93,22 +87,6 @@ TEST(NeighborTableTest, CountFartherThanMatchesEncSemantics) {
   table.Update(3, {0, 8}, 0.0, 0.0);   // New.
   table.Update(4, {5, 0}, 0.0, 0.0);   // Exactly on the edge: not counted.
   EXPECT_EQ(table.CountFartherThan({0, 0}, 5.0, 0.0), 2);
-}
-
-TEST(NeighborTableTest, MaxNeighborSpeed) {
-  NeighborTable table(10.0);
-  EXPECT_DOUBLE_EQ(table.MaxNeighborSpeed(0.0), 0.0);
-  table.Update(1, {0, 0}, 2.0, 0.0);
-  table.Update(2, {0, 0}, 7.5, 0.0);
-  table.Update(3, {0, 0}, 4.0, 0.0);
-  EXPECT_DOUBLE_EQ(table.MaxNeighborSpeed(0.0), 7.5);
-}
-
-TEST(NeighborTableTest, MaxNeighborSpeedIgnoresStale) {
-  NeighborTable table(1.0);
-  table.Update(1, {0, 0}, 9.0, 0.0);
-  table.Update(2, {0, 0}, 2.0, 5.0);
-  EXPECT_DOUBLE_EQ(table.MaxNeighborSpeed(5.0), 2.0);
 }
 
 }  // namespace

@@ -55,34 +55,22 @@ ProtocolStack::ProtocolStack(const ExperimentConfig& config, uint64_t seed) {
       protocol_ = std::move(p);
       break;
     }
-    case ProtocolKind::kKptKnnb: {
-      auto p = std::make_unique<KptKnnb>(network_.get(), gpsr_.get(),
-                                         config.kpt);
-      kpt_ = p.get();
-      protocol_ = std::move(p);
+    case ProtocolKind::kKptKnnb:
+      protocol_ = std::make_unique<KptKnnb>(network_.get(), gpsr_.get(),
+                                            config.kpt);
       break;
-    }
-    case ProtocolKind::kPeerTree: {
-      auto p = std::make_unique<PeerTree>(network_.get(), gpsr_.get(),
-                                          config.peertree);
-      peertree_ = p.get();
-      protocol_ = std::move(p);
+    case ProtocolKind::kPeerTree:
+      protocol_ = std::make_unique<PeerTree>(network_.get(), gpsr_.get(),
+                                             config.peertree);
       break;
-    }
-    case ProtocolKind::kFlooding: {
-      auto p = std::make_unique<Flooding>(network_.get(), gpsr_.get(),
-                                          config.flooding);
-      flooding_ = p.get();
-      protocol_ = std::move(p);
+    case ProtocolKind::kFlooding:
+      protocol_ = std::make_unique<Flooding>(network_.get(), gpsr_.get(),
+                                             config.flooding);
       break;
-    }
-    case ProtocolKind::kCentralized: {
-      auto p = std::make_unique<CentralizedIndex>(
+    case ProtocolKind::kCentralized:
+      protocol_ = std::make_unique<CentralizedIndex>(
           network_.get(), gpsr_.get(), config.centralized);
-      centralized_ = p.get();
-      protocol_ = std::move(p);
       break;
-    }
   }
   protocol_->Install();
 }
@@ -227,19 +215,11 @@ void PublishObsMetrics(Network& net, const GpsrRouting& gpsr,
   metrics->obs = reg.Snapshot();
 }
 
-// CLI flags override the workload spec's timeseries@ clause; either
-// source alone enables the recorder.
 TimeSeriesOptions ResolveTsOptions(const ExperimentConfig& config) {
   TimeSeriesOptions opts;
   opts.interval = config.ts_interval;
   if (config.ts_capacity > 0) {
     opts.capacity = static_cast<size_t>(config.ts_capacity);
-  }
-  if (config.workload.has_value()) {
-    if (!(opts.interval > 0.0)) opts.interval = config.workload->ts_interval;
-    if (opts.capacity == 0 && config.workload->ts_capacity > 0) {
-      opts.capacity = static_cast<size_t>(config.workload->ts_capacity);
-    }
   }
   return opts;
 }
@@ -353,13 +333,9 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
 
   // Attach the query tracer only when something will be sampled: with no
   // tracer every instrumentation site is a single null-pointer check.
-  double trace_rate = config.trace_sample;
-  if (config.workload.has_value()) {
-    trace_rate = std::max(trace_rate, config.workload->trace_sample);
-  }
   std::unique_ptr<Tracer> tracer;
-  if (trace_rate > 0.0) {
-    tracer = std::make_unique<Tracer>(trace_rate, seed);
+  if (config.trace_sample > 0.0) {
+    tracer = std::make_unique<Tracer>(config.trace_sample, seed);
     net.channel().set_tracer(tracer.get());
     stack.gpsr().set_tracer(tracer.get());
     if (stack.diknn() != nullptr) stack.diknn()->set_tracer(tracer.get());

@@ -95,20 +95,17 @@ struct ExperimentConfig {
   /// engine emulates (not byte-replicates) the serial protocol stack, so
   /// its counters are comparable only within the windowed family.
   bool force_windowed = false;
-  /// Fraction of queries traced by a per-run Tracer, in [0,1]. The
-  /// effective rate is max(trace_sample, workload->trace_sample); 0 (the
+  /// Fraction of queries traced by a per-run Tracer, in [0,1]; 0 (the
   /// default) attaches no tracer at all, so the hot paths see only a null
   /// check. Tracing never perturbs the simulation — a traced run's
   /// metrics are bit-identical to an untraced one.
   double trace_sample = 0.0;
-  /// Flight-recorder cadence (sim-seconds between samples). The effective
-  /// cadence is this value when > 0, else workload->ts_interval; 0 (the
+  /// Flight-recorder cadence (sim-seconds between samples); 0 (the
   /// default) records nothing and the hot paths see no recorder at all.
   /// Recording never perturbs the simulation either — see
   /// docs/OBSERVABILITY.md "Time series & flight recorder".
   double ts_interval = 0.0;
-  /// Ring depth per series; 0 defers to workload->ts_capacity, then to
-  /// TimeSeriesOptions::kDefaultCapacity.
+  /// Ring depth per series; 0 = TimeSeriesOptions::kDefaultCapacity.
   int ts_capacity = 0;
   DiknnParams diknn;
   KptParams kpt;
@@ -131,20 +128,12 @@ class ProtocolStack {
 
   /// The DIKNN instance, if this stack runs DIKNN (else nullptr).
   Diknn* diknn() { return diknn_; }
-  KptKnnb* kpt() { return kpt_; }
-  PeerTree* peertree() { return peertree_; }
-  Flooding* flooding() { return flooding_; }
-  CentralizedIndex* centralized() { return centralized_; }
 
  private:
   std::unique_ptr<Network> network_;
   std::unique_ptr<GpsrRouting> gpsr_;
   std::unique_ptr<KnnProtocol> protocol_;
   Diknn* diknn_ = nullptr;
-  KptKnnb* kpt_ = nullptr;
-  PeerTree* peertree_ = nullptr;
-  Flooding* flooding_ = nullptr;
-  CentralizedIndex* centralized_ = nullptr;
 };
 
 /// Runs one seeded simulation and returns its metrics. `records_out`, when

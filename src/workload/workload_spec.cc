@@ -121,21 +121,6 @@ bool ParseClause(const std::string& clause, WorkloadSpec* out,
     if (out->continuous_period <= 0.0 || out->continuous_rounds <= 0) {
       return Fail(error, "continuous needs period>0 and rounds>0");
     }
-  } else if (section == "trace") {
-    if (!r.TakeDouble("rate", &out->trace_sample)) return false;
-    if (out->trace_sample < 0.0 || out->trace_sample > 1.0) {
-      return Fail(error, "trace rate must be in [0,1]");
-    }
-  } else if (section == "timeseries") {
-    if (!r.TakeDouble("interval", &out->ts_interval)) return false;
-    if (!r.TakeInt("capacity", &out->ts_capacity)) return false;
-    if (out->ts_interval <= 0.0) {
-      return Fail(error, "timeseries needs interval>0 (sim-seconds "
-                         "between samples)");
-    }
-    if (out->ts_capacity < 0) {
-      return Fail(error, "timeseries capacity must be >= 0 (0 = default)");
-    }
   } else {
     return Fail(error, "unknown section '" + section + "'");
   }
@@ -236,11 +221,6 @@ std::string WorkloadSpec::ToSpec() const {
   if (mix[static_cast<int>(QueryClass::kContinuous)] > 0.0) {
     os << ";continuous@period=" << continuous_period
        << ",rounds=" << continuous_rounds;
-  }
-  if (trace_sample > 0.0) os << ";trace@rate=" << trace_sample;
-  if (ts_interval > 0.0) {
-    os << ";timeseries@interval=" << ts_interval;
-    if (ts_capacity > 0) os << ",capacity=" << ts_capacity;
   }
   return os.str();
 }

@@ -58,16 +58,9 @@
 //                                        query rectangles
 //   continuous period=S,rounds=N        refresh period and round count per
 //                                        continuous subscription
-//   trace    rate=R                     fraction of queries traced by the
-//                                        harness Tracer, in [0,1]; 0 (the
-//                                        default) records nothing
-//   timeseries interval=S               flight-recorder sampling cadence in
-//                                        sim-seconds (> 0 enables the
-//                                        windowed time-series rollups; see
-//                                        docs/OBSERVABILITY.md)
-//            capacity=N                  ring depth per series (0 = default,
-//                                        currently 512; oldest samples fall
-//                                        off first)
+//
+// A spec describes queries only: tracing and the flight recorder are run
+// settings (ExperimentConfig::trace_sample, ts_interval, ts_capacity).
 //
 // Example — 8 q/s Poisson, 80/20 point-KNN/window, k in [20,60], hotspot
 // arrivals, a 2 s deadline and at most 64 in flight:
@@ -149,16 +142,6 @@ struct WorkloadSpec {
   double window_side = 30.0;       ///< Window/aggregate rect side (m).
   double continuous_period = 1.0;  ///< Continuous refresh period (s).
   int continuous_rounds = 3;       ///< Rounds per subscription.
-
-  /// Fraction of queries traced (when the harness attaches a Tracer);
-  /// 0 disables tracing for this workload.
-  double trace_sample = 0.0;
-
-  /// Flight-recorder cadence (sim-seconds between samples); 0 disables
-  /// the time-series rollups. CLI --ts-interval overrides.
-  double ts_interval = 0.0;
-  /// Ring depth per series; 0 = TimeSeriesOptions::kDefaultCapacity.
-  int ts_capacity = 0;
 
   /// Sum of the class weights (> 0 for a valid spec).
   double TotalWeight() const;

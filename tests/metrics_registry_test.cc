@@ -255,9 +255,10 @@ TEST(MetricsRegistryTest, AggregateBitIdenticalAcrossJobs) {
   std::string error;
   config.workload = WorkloadSpec::Parse(
       "arrival@kind=poisson,rate=4;mix@knn=60,window=20,aggregate=20;"
-      "k@lo=4,hi=10;deadline@s=1.5;admit@inflight=8,queue=4;trace@rate=1",
+      "k@lo=4,hi=10;deadline@s=1.5;admit@inflight=8,queue=4",
       &error);
   ASSERT_TRUE(config.workload.has_value()) << error;
+  config.trace_sample = 1.0;
 
   std::vector<std::string> jsons;
   for (int jobs : {1, 2, 8}) {

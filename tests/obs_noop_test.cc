@@ -105,7 +105,7 @@ TEST(ObsNoopTest, WorkloadRunUnchangedByTracing) {
   ASSERT_TRUE(config.workload.has_value()) << error;
 
   ExperimentConfig traced = config;
-  traced.workload->trace_sample = 1.0;  // As "trace@rate=1" in the spec.
+  traced.trace_sample = 1.0;
 
   for (int jobs : {1, 2, 8}) {
     config.jobs = jobs;

@@ -289,7 +289,7 @@ TEST(ServingDriverTest, TracingDoesNotPerturbServedRuns) {
   config.duration = 12.0;
   const RunMetrics untraced = RunOnce(config, /*seed=*/7);
 
-  config.workload->trace_sample = 1.0;
+  config.trace_sample = 1.0;
   TraceData trace;
   const RunMetrics traced =
       RunOnce(config, /*seed=*/7, /*records_out=*/nullptr, &trace);

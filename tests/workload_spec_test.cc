@@ -155,6 +155,9 @@ TEST(WorkloadSpecTest, RejectsMalformedSpecs) {
       "timeseries@interval=-1",
       "timeseries@interval=1,capacity=-2",
       "timeseries@capacity=16",
+      // Tracing and the flight recorder are run settings, not workload.
+      "trace@rate=1",
+      "timeseries@interval=1",
       // Non-finite numbers pass no range check, so they never parse.
       "arrival@kind=poisson,rate=nan",
       "arrival@kind=poisson,rate=inf",
@@ -199,31 +202,6 @@ TEST(WorkloadSpecTest, ClosedLoopTakesNoAdmitClause) {
                                   "deadline@s=1.5;cache@ttl=2;"
                                   "coalesce@window=1")
                   .has_value());
-}
-
-TEST(WorkloadSpecTest, TimeseriesClauseSetsRecorderCadence) {
-  std::string error;
-  const auto spec = WorkloadSpec::Parse(
-      "arrival@kind=poisson,rate=4;timeseries@interval=0.25,capacity=128",
-      &error);
-  ASSERT_TRUE(spec.has_value()) << error;
-  EXPECT_DOUBLE_EQ(spec->ts_interval, 0.25);
-  EXPECT_EQ(spec->ts_capacity, 128);
-
-  // Capacity is optional (0 = the recorder's default ring depth), and
-  // the clause survives the canonical round-trip.
-  const auto minimal =
-      WorkloadSpec::Parse("timeseries@interval=0.5", &error);
-  ASSERT_TRUE(minimal.has_value()) << error;
-  EXPECT_DOUBLE_EQ(minimal->ts_interval, 0.5);
-  EXPECT_EQ(minimal->ts_capacity, 0);
-
-  const std::string canonical = spec->ToSpec();
-  const auto again = WorkloadSpec::Parse(canonical, &error);
-  ASSERT_TRUE(again.has_value()) << canonical << ": " << error;
-  EXPECT_DOUBLE_EQ(again->ts_interval, spec->ts_interval);
-  EXPECT_EQ(again->ts_capacity, spec->ts_capacity);
-  EXPECT_EQ(again->ToSpec(), canonical);
 }
 
 TEST(LatencyHistogramTest, EmptyIsAllZeros) {

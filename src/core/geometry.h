@@ -148,7 +148,6 @@ class SectorPartition {
   /// Creates a partition of `count` >= 1 sectors centered at `origin`.
   SectorPartition(Point origin, int count);
 
-  const Point& origin() const { return origin_; }
   int count() const { return count_; }
 
   /// Central angle of each sector (2*pi / count).

@@ -35,8 +35,6 @@ class JsonValue {
 
   bool IsObject() const { return kind == Kind::kObject; }
   bool IsArray() const { return kind == Kind::kArray; }
-  bool IsNumber() const { return kind == Kind::kNumber; }
-  bool IsString() const { return kind == Kind::kString; }
 
   /// Object member by key; nullptr when absent or not an object.
   const JsonValue* Find(const std::string& key) const;

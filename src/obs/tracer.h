@@ -190,7 +190,6 @@ class Tracer {
   bool has_ambient() const { return has_ambient_; }
   const TraceContext& ambient() const { return ambient_; }
 
-  double sample_rate() const { return sample_rate_; }
   const TracerStats& stats() const { return stats_; }
   const std::vector<Span>& spans() const { return spans_; }
   const std::vector<SpanEvent>& events() const { return events_; }

@@ -78,15 +78,7 @@ class PsimEngine {
   /// Runs the configured duration once. Call at most once per engine.
   PsimResult Run();
 
-  const FieldPartition& partition() const { return world_->partition; }
   int shards() const { return static_cast<int>(shards_.size()); }
-  size_t node_count() const { return world_->nodes.size(); }
-  const PsimNode& node(uint32_t i) const { return world_->nodes[i]; }
-  /// Shard currently owning node `i` (valid between windows / post-run).
-  int OwnerOf(uint32_t i) const {
-    return world_->partition.OwnerOfCell(world_->nodes[i].cell);
-  }
-  const PsimStats& shard_stats(int s) const { return shards_[s]->stats(); }
   /// Every owned node's bucket maps back to its owner and its pending
   /// event is live, on every shard. Test hook; post-run only.
   bool OwnershipInvariantHolds() const;

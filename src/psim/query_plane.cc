@@ -410,8 +410,11 @@ bool PsimShard::NextItineraryHop(const PsimQuery& q, int sector, uint32_t v,
     s_pos += qp.step;
     if (s_pos >= total) return false;  // Sector exhausted.
     const Point anchor = itinerary_scratch_.PointAt(s_pos);
-    // Next Q-node: fresh neighbor strictly closer to the anchor than v
-    // (the serial engine's hand-off rule).
+    // Next Q-node: the fresh neighbor closest to the anchor among those
+    // strictly closer to it than v, previous hop excluded (GPSR's greedy
+    // rule, routing/greedy.h). The serial Diknn::ForwardAlongItinerary
+    // is looser: it also takes a neighbor within w/2 of the anchor that
+    // is not closer, and it may pick the previous hop.
     if (GreedyNextHopFrom(node.neighbors, pos, anchor, exclude, now,
                           next)) {
       *progress = static_cast<float>(s_pos);

@@ -77,9 +77,6 @@ struct PsimConfig {
   int shards = 1;           ///< Requested; clamped by the partition.
   SimTime duration = 5.0;
   uint64_t seed = 1;
-  /// Boundary-frame ring capacity per (pair, direction); 0 = sized from
-  /// node_count. Migration rings are always sized from node_count.
-  size_t frame_mailbox_capacity = 0;
   /// Query plane (disabled by default: substrate only).
   QueryPlaneConfig query;
   /// Node-fault schedule: (time s, node id) pairs. A node dies at the
@@ -217,9 +214,6 @@ struct PsimWorld {
   /// two windows, and frames per window are bounded by the border
   /// population, so node_count is a comfortable worst case.
   size_t FrameMailboxCapacity() const {
-    if (config.frame_mailbox_capacity > 0) {
-      return config.frame_mailbox_capacity;
-    }
     return std::max<size_t>(4096,
                             static_cast<size_t>(config.node_count));
   }

@@ -54,7 +54,6 @@ class CompletionPredictor {
   /// `probes()`).
   bool ShouldShed(int ring, double budget);
 
-  uint64_t total_samples() const { return total_samples_; }
   uint64_t probes() const { return probes_; }
 
  private:

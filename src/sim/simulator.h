@@ -81,10 +81,6 @@ class Simulator {
   /// Number of pending (live) events.
   size_t pending_events() const { return queue_.Size(); }
 
-  /// Entries resident in the scheduler, including cancelled ones whose
-  /// reference has not been reclaimed yet (see EventQueue docs).
-  size_t resident_events() const { return queue_.ResidentEntries(); }
-
   /// Scheduler counters (events pushed/fired/cancelled, wheel vs
   /// overflow split, callback storage split, peak sizes).
   const EngineStats& engine_stats() const { return queue_.stats(); }

@@ -93,7 +93,7 @@ Point QueryDriver::SinkPosition(NodeId sink, SimTime /*now*/) {
 }
 
 void QueryDriver::Launch(const SinkQuery& query) {
-  if (query.cls == QueryClass::kKnn && score_accuracy_) {
+  if (query.cls == QueryClass::kKnn) {
     truth_pre_[query.id] = network_->TrueKnn(query.q, query.k);
   }
   if (query.path != ServingPath::kDirect) return;  // Served by the sink.

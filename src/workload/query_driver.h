@@ -57,10 +57,6 @@ class QueryDriver : private QuerySink::Engine {
   /// rejected, still-in-flight -> timed out) and returns it. Call once.
   SloReport Run(SimTime duration, SimTime drain);
 
-  /// Score KNN-class queries against the ground-truth oracle (default
-  /// on). Costs one TrueKnn scan at issue and one at resolution.
-  void set_score_accuracy(bool score) { score_accuracy_ = score; }
-
   /// Query tracer (not owned; may be null). The sink opens the root span
   /// at arrival (so admission queueing is a visible kQueue phase) and
   /// closes the trace at resolution; the driver hands the context to kKnn
@@ -73,7 +69,6 @@ class QueryDriver : private QuerySink::Engine {
   const std::vector<WorkloadQueryRecord>& records() const {
     return records_;
   }
-  const WorkloadSpec& spec() const { return spec_; }
 
   /// Mean accuracies over the scored KNN queries (0 when none).
   double MeanPreAccuracy() const;
@@ -85,9 +80,6 @@ class QueryDriver : private QuerySink::Engine {
   const ItineraryAggregateQuery* aggregate_engine() const {
     return aggregate_.get();
   }
-  const ContinuousKnn* continuous_engine() const {
-    return continuous_.get();
-  }
 
  private:
   Rect QueryRect(const Point& center, double side) const;
@@ -95,7 +87,7 @@ class QueryDriver : private QuerySink::Engine {
 
   // QuerySink::Engine.
   Point SinkPosition(NodeId sink, SimTime now) override;
-  /// Takes the pre-accuracy truth of scored KNN queries, then launches
+  /// Takes the pre-accuracy truth of KNN queries, then launches
   /// direct queries on the protocol or the class's engine.
   void Launch(const SinkQuery& query) override;
   /// Scores accuracy and records the outcome.
@@ -114,7 +106,6 @@ class QueryDriver : private QuerySink::Engine {
   KnnProtocol* protocol_;
   WorkloadSpec spec_;
   QuerySampler sampler_;
-  bool score_accuracy_ = true;
 
   // Lazily constructed engines (only when the mix uses them).
   std::unique_ptr<ItineraryWindowQuery> window_;

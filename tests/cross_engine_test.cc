@@ -66,7 +66,6 @@ void ExpectSameArrivals(const std::string& spec_text) {
   RecordingProtocol protocol(&net.sim());
   QueryDriver driver(&net, &stack.gpsr(), &protocol, spec,
                      WorkloadSeed(kSeed), /*sink=*/0);
-  driver.set_score_accuracy(false);
   driver.Run(kDuration, /*drain=*/0.0);
   std::vector<WorkloadQueryRecord> serial = driver.records();
   std::sort(serial.begin(), serial.end(),

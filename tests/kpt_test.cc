@@ -1,6 +1,7 @@
 #include "baselines/kpt.h"
 
 #include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -102,6 +103,25 @@ TEST(KptTest, SequentialQueriesComplete) {
     if (!r.timed_out) ++completed;
   }
   EXPECT_GE(completed, 3);
+}
+
+TEST(KptTest, OverlappingQueriesKeepTheirTrees) {
+  // Six queries in flight at once: issuing a query must not tear down
+  // the aggregation trees of earlier queries that are still collecting.
+  NetworkConfig config = DefaultConfig();
+  config.mobility = MobilityKind::kStatic;
+  Rig rig(config);
+  std::vector<KnnResult> results;
+  for (int i = 0; i < 6; ++i) {
+    rig.protocol.IssueQuery(0, {40.0 + 8 * i, 60}, 10,
+                            [&](const KnnResult& r) { results.push_back(r); });
+    rig.net.sim().RunUntil(rig.net.sim().Now() + 0.01);
+  }
+  rig.net.sim().RunUntil(rig.net.sim().Now() + 12.0);
+  ASSERT_EQ(results.size(), 6u);
+  for (const KnnResult& r : results) {
+    EXPECT_FALSE(r.timed_out) << "query " << r.query_id;
+  }
 }
 
 TEST(KptTest, RespectsKBudget) {

@@ -21,6 +21,7 @@
 // mailboxes and state migration included).
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -105,6 +106,61 @@ TEST(PsimDeterminismTest, TrafficCountersInvariantAcrossShardCounts) {
     EXPECT_EQ(result.totals.audit_mismatches, 0u);
     EXPECT_TRUE(engine.OwnershipInvariantHolds());
   }
+}
+
+// --- Golden anchor: every other test here compares psim only with
+// --- itself, so a receiver filter that dropped or added receivers the
+// --- same way at every shard count would pass them all. These values of
+// --- both soak configs at seed 42 were recorded before the filter read
+// --- bucketed (sweep) positions instead of exact ones.
+
+std::string Describe(const QueryPlaneStats::Invariants& q) {
+  std::ostringstream out;
+  out << "hops=" << q.hops << "/" << q.request_hops << "/" << q.qnode_hops
+      << "/" << q.result_hops << " arrivals=" << q.home_arrivals
+      << " sectors=" << q.sector_results << " replies=" << q.replies
+      << " collections=" << q.collections << " retries=" << q.retries
+      << " drops=" << q.drops_loss << "/" << q.drops_stuck << "/"
+      << q.drops_dead << "/" << q.drops_ttl << " late=" << q.late_replies;
+  return out.str();
+}
+
+std::string Describe(const PsimStats::Invariants& c) {
+  std::ostringstream out;
+  out << "frames=" << c.frames_sent << " csma=" << c.csma_attempts << "/"
+      << c.csma_busy << "/" << c.csma_failures
+      << " rx=" << c.receptions_attempted << "/" << c.receptions_delivered
+      << "/" << c.receptions_collided << "/" << c.receptions_lost
+      << " scanned=" << c.candidates_scanned
+      << " updates=" << c.neighbor_updates << " qp=" << Describe(c.qp);
+  return out.str();
+}
+
+TEST(PsimDeterminismTest, MatchesGoldenSeed42) {
+  PsimConfig wide = WideConfig();
+  wide.shards = 1;
+  EXPECT_EQ(Describe(RunPsim(wide).totals.InvariantCounters()),
+            "frames=12282 csma=13275/993/0 rx=230817/176989/44459/9369 "
+            "scanned=770241 updates=176989 qp=hops=0/0/0/0 arrivals=0 "
+            "sectors=0 replies=0 collections=0 retries=0 drops=0/0/0/0 "
+            "late=0");
+
+  PsimConfig soak = QuerySoakConfig();
+  soak.shards = 1;
+  const PsimResult served = RunPsim(soak);
+  EXPECT_EQ(served.slo.ToJson(),
+            "{\"issued\": 230, \"completed\": 195, \"deadline_missed\": 0, "
+            "\"rejected\": 0, \"timed_out\": 35, \"peak_inflight\": 35, "
+            "\"goodput_qps\": 84.7826, \"mean_s\": 0.0327882, "
+            "\"p50_s\": 0.0306433, \"p95_s\": 0.0515357, "
+            "\"p99_s\": 0.0553122, \"p999_s\": 0.0553122, \"miss_rate\": 0, "
+            "\"reject_rate\": 0, \"timeout_rate\": 0.152174, "
+            "\"cache_hits\": 2, \"cache_misses\": 110, "
+            "\"cache_insertions\": 92, \"coalesced\": 0, \"fanned_out\": 0, "
+            "\"shed\": 0}");
+  EXPECT_EQ(Describe(served.totals.qp.InvariantCounters()),
+            "hops=7914/2391/1712/3836 arrivals=225 sectors=1712 replies=193 "
+            "collections=20558 retries=231 drops=1/0/29/0 late=0");
 }
 
 // --- Contract 3: exact repeatability and the allocation gate. ---------

@@ -147,6 +147,7 @@ void PsimEngine::BuildWorld() {
     }
     node.neighbors = NeighborTable(config_.neighbor_timeout);
     node.neighbors.Reserve(degree_bound);
+    node.at = pos;
     node.cell = part.CellOf(pos);
     node.next_beacon = node.rng.Uniform(0.0, config_.beacon_interval);
     world_->cell_nodes[static_cast<size_t>(node.cell)].push_back(

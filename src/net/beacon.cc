@@ -17,7 +17,7 @@ void BeaconService::Start() {
     node->RegisterHandler(MessageType::kBeacon, [node](const Packet& p) {
       const auto* beacon =
           static_cast<const BeaconMessage*>(p.payload.get());
-      node->neighbors().Update(beacon->id, beacon->position, beacon->speed,
+      node->neighbors().Update(beacon->id, beacon->position,
                                node->sim()->Now());
     });
   }
@@ -73,7 +73,6 @@ void BeaconService::SendBeacon(Node* node) {
   auto msg = MessagePool::Make<BeaconMessage>();
   msg->id = node->id();
   msg->position = node->Position();
-  msg->speed = node->Speed();
   node->SendBroadcast(MessageType::kBeacon, std::move(msg), kBeaconBodyBytes,
                       EnergyCategory::kBeacon);
 }

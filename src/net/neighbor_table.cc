@@ -9,16 +9,13 @@ namespace diknn {
 void NeighborTable::Reserve(size_t n) {
   ids_.reserve(n);
   positions_.reserve(n);
-  speeds_.reserve(n);
   last_heard_.reserve(n);
   index_.reserve(n);
 }
 
-void NeighborTable::Update(NodeId id, Point position, double speed,
-                           SimTime now) {
+void NeighborTable::Update(NodeId id, Point position, SimTime now) {
   if (const uint32_t* k = index_.find(id)) {
     positions_[*k] = position;
-    speeds_[*k] = speed;
     last_heard_[*k] = now;
     return;
   }
@@ -28,7 +25,6 @@ void NeighborTable::Update(NodeId id, Point position, double speed,
   index_.TryEmplace(id, static_cast<uint32_t>(ids_.size()));
   ids_.push_back(id);
   positions_.push_back(position);
-  speeds_.push_back(speed);
   last_heard_.push_back(now);
 }
 
@@ -45,7 +41,6 @@ void NeighborTable::Remove(NodeId id) {
   const size_t i = *k;
   ids_.erase(ids_.begin() + i);
   positions_.erase(positions_.begin() + i);
-  speeds_.erase(speeds_.begin() + i);
   last_heard_.erase(last_heard_.begin() + i);
   RebuildIndex();
 }
@@ -57,7 +52,6 @@ void NeighborTable::Expire(SimTime now) {
     if (w != r) {
       ids_[w] = ids_[r];
       positions_[w] = positions_[r];
-      speeds_[w] = speeds_[r];
       last_heard_[w] = last_heard_[r];
     }
     ++w;
@@ -65,7 +59,6 @@ void NeighborTable::Expire(SimTime now) {
   if (w == ids_.size()) return;
   ids_.resize(w);
   positions_.resize(w);
-  speeds_.resize(w);
   last_heard_.resize(w);
   RebuildIndex();
 }
@@ -75,7 +68,7 @@ std::optional<NeighborEntry> NeighborTable::Lookup(NodeId id,
   const uint32_t* k = index_.find(id);
   if (k == nullptr || !FreshAt(*k, now)) return std::nullopt;
   const size_t i = *k;
-  return NeighborEntry{ids_[i], positions_[i], speeds_[i], last_heard_[i]};
+  return NeighborEntry{ids_[i], positions_[i], last_heard_[i]};
 }
 
 void NeighborTable::SnapshotInto(SimTime now,
@@ -87,8 +80,7 @@ void NeighborTable::SnapshotInto(SimTime now,
   }
   for (size_t i = 0; i < ids_.size(); ++i) {
     if (FreshAt(i, now)) {
-      out->push_back(
-          NeighborEntry{ids_[i], positions_[i], speeds_[i], last_heard_[i]});
+      out->push_back(NeighborEntry{ids_[i], positions_[i], last_heard_[i]});
     }
   }
 }
@@ -114,8 +106,7 @@ std::optional<NeighborEntry> NeighborTable::ClosestTo(const Point& target,
     }
   }
   if (best == ids_.size()) return std::nullopt;
-  return NeighborEntry{ids_[best], positions_[best], speeds_[best],
-                       last_heard_[best]};
+  return NeighborEntry{ids_[best], positions_[best], last_heard_[best]};
 }
 
 int NeighborTable::CountFartherThan(const Point& from, double radius,

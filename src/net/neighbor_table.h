@@ -9,7 +9,7 @@
 // Layout (docs/PACKET_PLANE.md): struct-of-arrays. The geometric scans
 // that dominate the hot path — greedy next-hop selection, boundary
 // estimation, planarization — touch only the position lane, so entries
-// are stored as four parallel flat vectors in insertion order with a
+// are stored as three parallel flat vectors in insertion order with a
 // FlatMap id->lane index on the side. Insertion order is preserved across
 // erasure (lanes are compacted, not swap-erased), which makes iteration
 // order a pure function of the beacon history and keeps runs bit-identical
@@ -34,7 +34,6 @@ namespace diknn {
 struct NeighborEntry {
   NodeId id = kInvalidNodeId;
   Point position;          ///< Position advertised in the last beacon.
-  double speed = 0.0;      ///< Speed advertised in the last beacon (m/s).
   SimTime last_heard = 0;  ///< Time the last beacon arrived.
 };
 
@@ -51,7 +50,7 @@ class NeighborTable {
   void Reserve(size_t n);
 
   /// Inserts or refreshes an entry from a beacon heard at time `now`.
-  void Update(NodeId id, Point position, double speed, SimTime now);
+  void Update(NodeId id, Point position, SimTime now);
 
   /// Removes a neighbor explicitly (e.g., unicast to it failed).
   void Remove(NodeId id);
@@ -73,7 +72,7 @@ class NeighborTable {
   void ForEachFresh(SimTime now, Fn&& fn) const {
     for (size_t i = 0; i < ids_.size(); ++i) {
       if (!FreshAt(i, now)) continue;
-      fn(NeighborEntry{ids_[i], positions_[i], speeds_[i], last_heard_[i]});
+      fn(NeighborEntry{ids_[i], positions_[i], last_heard_[i]});
     }
   }
 
@@ -101,7 +100,6 @@ class NeighborTable {
   // Parallel lanes, insertion-ordered; index_ maps id -> lane position.
   std::vector<NodeId> ids_;
   std::vector<Point> positions_;
-  std::vector<double> speeds_;
   std::vector<SimTime> last_heard_;
   FlatMap<NodeId, uint32_t> index_;
 };

@@ -34,7 +34,7 @@ TEST(BeaconTest, NeighborTablesMatchTrueTopology) {
   EXPECT_GE(static_cast<double>(known) / in_range, 0.9);
 }
 
-TEST(BeaconTest, BeaconsCarryPositionAndSpeed) {
+TEST(BeaconTest, BeaconsCarryPosition) {
   NetworkConfig config;
   config.node_count = 10;
   config.field = Rect::Field(30, 30);
@@ -53,8 +53,6 @@ TEST(BeaconTest, BeaconsCarryPositionAndSpeed) {
       const double error =
           Distance(e.position, net.node(e.id)->Position());
       EXPECT_LE(error, staleness * config.max_speed + 1e-6);
-      EXPECT_GE(e.speed, 0.0);
-      EXPECT_LE(e.speed, config.max_speed);
       ++checked;
     }
   }

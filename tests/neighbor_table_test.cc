@@ -7,19 +7,18 @@ namespace {
 
 TEST(NeighborTableTest, InsertAndLookup) {
   NeighborTable table(1.5);
-  table.Update(7, {1, 2}, 3.0, /*now=*/10.0);
+  table.Update(7, {1, 2}, /*now=*/10.0);
   const auto e = table.Lookup(7, 10.5);
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->id, 7);
   EXPECT_EQ(e->position, Point(1, 2));
-  EXPECT_DOUBLE_EQ(e->speed, 3.0);
   EXPECT_DOUBLE_EQ(e->last_heard, 10.0);
 }
 
 TEST(NeighborTableTest, UpdateRefreshesEntry) {
   NeighborTable table(1.5);
-  table.Update(7, {1, 2}, 3.0, 10.0);
-  table.Update(7, {5, 6}, 1.0, 11.0);
+  table.Update(7, {1, 2}, 10.0);
+  table.Update(7, {5, 6}, 11.0);
   const auto e = table.Lookup(7, 11.0);
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->position, Point(5, 6));
@@ -28,7 +27,7 @@ TEST(NeighborTableTest, UpdateRefreshesEntry) {
 
 TEST(NeighborTableTest, StaleEntriesInvisible) {
   NeighborTable table(1.5);
-  table.Update(7, {1, 2}, 0.0, 10.0);
+  table.Update(7, {1, 2}, 10.0);
   EXPECT_TRUE(table.Lookup(7, 11.5).has_value());   // Exactly at timeout.
   EXPECT_FALSE(table.Lookup(7, 11.51).has_value());
   EXPECT_EQ(table.CountFresh(12.0), 0);
@@ -39,8 +38,8 @@ TEST(NeighborTableTest, StaleEntriesInvisible) {
 
 TEST(NeighborTableTest, ExpirePurgesOldEntries) {
   NeighborTable table(1.0);
-  table.Update(1, {0, 0}, 0.0, 0.0);
-  table.Update(2, {0, 0}, 0.0, 5.0);
+  table.Update(1, {0, 0}, 0.0);
+  table.Update(2, {0, 0}, 5.0);
   table.Expire(5.5);
   EXPECT_FALSE(table.Lookup(1, 5.5).has_value());
   EXPECT_TRUE(table.Lookup(2, 5.5).has_value());
@@ -48,16 +47,16 @@ TEST(NeighborTableTest, ExpirePurgesOldEntries) {
 
 TEST(NeighborTableTest, RemoveDeletesImmediately) {
   NeighborTable table(10.0);
-  table.Update(3, {0, 0}, 0.0, 0.0);
+  table.Update(3, {0, 0}, 0.0);
   table.Remove(3);
   EXPECT_FALSE(table.Lookup(3, 0.0).has_value());
 }
 
 TEST(NeighborTableTest, SnapshotReturnsFreshOnly) {
   NeighborTable table(1.0);
-  table.Update(1, {0, 0}, 0.0, 0.0);
-  table.Update(2, {1, 1}, 0.0, 2.0);
-  table.Update(3, {2, 2}, 0.0, 2.5);
+  table.Update(1, {0, 0}, 0.0);
+  table.Update(2, {1, 1}, 2.0);
+  table.Update(3, {2, 2}, 2.5);
   std::vector<NeighborEntry> snap;
   table.SnapshotInto(2.6, &snap);
   EXPECT_EQ(snap.size(), 2u);
@@ -65,9 +64,9 @@ TEST(NeighborTableTest, SnapshotReturnsFreshOnly) {
 
 TEST(NeighborTableTest, ClosestToPicksMinimum) {
   NeighborTable table(10.0);
-  table.Update(1, {0, 0}, 0.0, 0.0);
-  table.Update(2, {5, 0}, 0.0, 0.0);
-  table.Update(3, {9, 0}, 0.0, 0.0);
+  table.Update(1, {0, 0}, 0.0);
+  table.Update(2, {5, 0}, 0.0);
+  table.Update(3, {9, 0}, 0.0);
   const auto e = table.ClosestTo({6, 0}, 0.0);
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->id, 2);
@@ -82,10 +81,10 @@ TEST(NeighborTableTest, CountFartherThanMatchesEncSemantics) {
   NeighborTable table(10.0);
   // Previous hop at origin, radio range 5: "newly encountered" neighbors
   // are those farther than 5 from the origin.
-  table.Update(1, {3, 0}, 0.0, 0.0);   // Inside old disk.
-  table.Update(2, {6, 0}, 0.0, 0.0);   // New.
-  table.Update(3, {0, 8}, 0.0, 0.0);   // New.
-  table.Update(4, {5, 0}, 0.0, 0.0);   // Exactly on the edge: not counted.
+  table.Update(1, {3, 0}, 0.0);   // Inside old disk.
+  table.Update(2, {6, 0}, 0.0);   // New.
+  table.Update(3, {0, 8}, 0.0);   // New.
+  table.Update(4, {5, 0}, 0.0);   // Exactly on the edge: not counted.
   EXPECT_EQ(table.CountFartherThan({0, 0}, 5.0, 0.0), 2);
 }
 

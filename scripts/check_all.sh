@@ -18,7 +18,8 @@
 # (net.allocs == 0, net.alloc_per_frame == 0; see docs/PACKET_PLANE.md),
 # the same allocation gate on a dup@ fault-plan run, which must also drop
 # re-aired copies (mac.duplicates_dropped > 0), a frame-log smoke of
-# `diknn-sim --trace`, a CLI validation check, and the repo benchmark's
+# `diknn-sim --trace` (a --workload run's log must equal a paper run's at
+# the spec's k@lo), a CLI validation check, and the repo benchmark's
 # smoke mode (benchmark/run.sh --smoke).
 #
 # Usage: scripts/check_all.sh
@@ -124,6 +125,16 @@ echo "== frame-log smoke (diknn-sim --trace) =="
 grep -q ',DiknnForward,' "$obs_dir/frames.csv" \
   || { echo "frame log: no DiknnForward row"; exit 1; }
 echo "frame log: $(($(wc -l < "$obs_dir/frames.csv") - 1)) frames"
+# A --workload run cannot set --k: its logged query takes the spec's
+# k@lo, so its log must equal a paper run's at that k.
+./build/tools/diknn-sim --runs 1 --duration 5 \
+  --workload 'arrival@kind=poisson,rate=1;k@lo=5' \
+  --trace "$obs_dir/frames_workload.csv" >/dev/null
+./build/tools/diknn-sim --runs 1 --duration 5 --k 5 \
+  --trace "$obs_dir/frames_k5.csv" >/dev/null
+cmp "$obs_dir/frames_workload.csv" "$obs_dir/frames_k5.csv" \
+  || { echo "frame log: the workload run's query ignores k@lo"; exit 1; }
+echo "frame log: a --workload run logs a query at its spec's k@lo"
 
 echo "== CLI validation =="
 # Each of these must exit 2 before simulating anything.

@@ -106,7 +106,9 @@ void PrintUsage(const char* argv0) {
       "\n"
       "output:\n"
       "  --csv             machine-readable one-line-per-run output\n"
-      "  --trace FILE      write a per-frame CSV trace (first run only)\n"
+      "  --trace FILE      write the per-frame CSV log of one query at the\n"
+      "                    field centre (first run only); its k is --k,\n"
+      "                    or the spec's k@lo on a --workload run\n"
       "  --trace-out FILE  write a Chrome/Perfetto trace JSON of the base\n"
       "                    seed's run (query span trees + critical paths);\n"
       "                    implies --trace-sample 1 unless set explicitly\n"
@@ -423,11 +425,14 @@ int main(int argc, char** argv) {
     Tracer frame_log(0.0);
     ProtocolStack stack(config, config.base_seed);
     stack.network().channel().set_tracer(&frame_log);
-    // One representative query instead of the whole workload.
+    // One representative query instead of the whole workload. A
+    // workload run cannot set --k, so its query takes the spec's k@lo.
+    const int k =
+        config.workload.has_value() ? config.workload->k_lo : config.k;
     stack.network().Warmup(config.warmup);
     bool done = false;
     stack.protocol().IssueQuery(
-        0, stack.network().config().field.Center(), config.k,
+        0, stack.network().config().field.Center(), k,
         [&](const KnnResult&) { done = true; });
     Simulator& sim = stack.network().sim();
     while (!done && sim.Now() < 30.0) sim.RunUntil(sim.Now() + 0.25);

@@ -85,6 +85,13 @@ class FlatMap {
   bool contains(const Key& key) const { return FindSlot(key) != kNpos; }
   size_t count(const Key& key) const { return contains(key) ? 1 : 0; }
 
+  /// Address of the slot a lookup of `key` reads first, or nullptr while
+  /// the map has no slots. Reads nothing but the slot array and the hash,
+  /// so a caller that knows a key ahead of its lookup can prefetch it.
+  const void* FirstProbe(const Key& key) const {
+    return slots_.empty() ? nullptr : &slots_[IndexFor(key)];
+  }
+
   Value* find(const Key& key) {
     const size_t i = FindSlot(key);
     return i == kNpos ? nullptr : &slots_[i].kv.second;

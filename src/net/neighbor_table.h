@@ -52,6 +52,10 @@ class NeighborTable {
   /// Inserts or refreshes an entry from a beacon heard at time `now`.
   void Update(NodeId id, Point position, SimTime now);
 
+  /// Address of the index slot that Update(id, ...) reads first, or
+  /// nullptr before the table has any (FlatMap::FirstProbe).
+  const void* FirstProbe(NodeId id) const { return index_.FirstProbe(id); }
+
   /// Removes a neighbor explicitly (e.g., unicast to it failed).
   void Remove(NodeId id);
 

@@ -368,10 +368,11 @@ class PsimShard : private QuerySink::Engine {
   bool SenseBusy(const Point& pos, SimTime now) const;
   void DeliverWindow(uint64_t k);
   void DeliverFrame(const PsimFrame& f, SimTime now);
-  /// Decides f's reception at candidate `r`, an owned live node bucketed
-  /// near f's origin, judged first from its sweep position by `band`.
-  void DeliverTo(const PsimFrame& f, uint32_t r, const DriftBand& band,
-                 SimTime now);
+  /// Decides f's reception at `r`, an owned live node bucketed near f's
+  /// origin that `band` judged `reach` (never kOut) from its sweep
+  /// position.
+  void DeliverTo(const PsimFrame& f, uint32_t r, Reach reach,
+                 const DriftBand& band, SimTime now);
   bool LossDraw(const PsimFrame& f, uint32_t receiver) const;
   NeighborInbox* OutboxFor(int shard);
   /// OutboxFor that aborts instead of returning null: a missing link
@@ -439,9 +440,16 @@ class PsimShard : private QuerySink::Engine {
   std::vector<std::unique_ptr<NeighborInbox>> inboxes_;
   std::vector<std::pair<int, NeighborInbox*>> outboxes_;
 
+  /// A candidate receiver the drift band did not rule out.
+  struct Receiver {
+    uint32_t node;
+    Reach reach;
+  };
+
   // Reused scratch (allocation-free once at high-water capacity).
   std::vector<uint32_t> delivery_order_;     ///< Frame index permutation.
   std::vector<const PsimFrame*> interferers_;
+  std::vector<Receiver> receivers_;          ///< One frame's, bucket order.
   std::vector<uint32_t> migrated_out_;
   std::vector<uint32_t> qorder_;             ///< Query frame permutation.
   Itinerary itinerary_scratch_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace diknn {
 namespace {
 
@@ -86,6 +88,38 @@ TEST(NeighborTableTest, CountFartherThanMatchesEncSemantics) {
   table.Update(3, {0, 8}, 0.0);   // New.
   table.Update(4, {5, 0}, 0.0);   // Exactly on the edge: not counted.
   EXPECT_EQ(table.CountFartherThan({0, 0}, 5.0, 0.0), 2);
+}
+
+TEST(NeighborTableTest, FirstProbeNeedsSlotsAndChangesNothing) {
+  NeighborTable table(1.5);
+  EXPECT_EQ(table.FirstProbe(3), nullptr);  // Before any Reserve/Update.
+  NeighborTable reserved(1.5);
+  reserved.Reserve(8);
+  EXPECT_NE(reserved.FirstProbe(3), nullptr);
+
+  table.Update(4, {4, 0}, 0.0);
+  table.Update(2, {2, 0}, 0.5);
+  table.Update(9, {9, 0}, 1.0);
+  std::vector<NodeId> order_before;
+  table.ForEachFresh(1.0, [&](const NeighborEntry& e) {
+    order_before.push_back(e.id);
+  });
+  for (NodeId id : {4, 2, 9, 3, 100, -2}) {  // Present and absent ids.
+    EXPECT_NE(table.FirstProbe(id), nullptr) << id;
+  }
+  EXPECT_EQ(table.CountFresh(1.0), 3);
+  std::vector<NodeId> order_after;
+  table.ForEachFresh(1.0, [&](const NeighborEntry& e) {
+    order_after.push_back(e.id);
+  });
+  EXPECT_EQ(order_after, order_before);
+  EXPECT_EQ(order_after, (std::vector<NodeId>{4, 2, 9}));
+  for (NodeId id : {4, 2, 9}) {
+    const auto e = table.Lookup(id, 1.0);
+    ASSERT_TRUE(e.has_value()) << id;
+    EXPECT_EQ(e->position, Point(id, 0));
+  }
+  EXPECT_FALSE(table.Lookup(3, 1.0).has_value());
 }
 
 }  // namespace

@@ -30,20 +30,29 @@ void Channel::PlaceNode(Node* node, const Point& position) {
   AllocScopePause capacity;  // Cell membership lists grow to high water.
   const int32_t index = CellIndexOf(position);
   const size_t slot = static_cast<size_t>(node->id());
-  if (slot >= node_cell_of_.size()) node_cell_of_.resize(slot + 1, -1);
+  if (slot >= node_cell_of_.size()) {
+    node_cell_of_.resize(slot + 1, -1);
+    node_entry_of_.resize(slot + 1, 0);
+  }
   const int32_t old_index = node_cell_of_[slot];
-  const auto is_node = [node](const BucketEntry& e) { return e.node == node; };
   if (old_index == index) {  // Common case: same cell.
-    auto& cell = node_cells_[index];
-    std::find_if(cell.begin(), cell.end(), is_node)->at = position;
+    node_cells_[index][node_entry_of_[slot]].at = position;
     return;
   }
   if (old_index >= 0) {
+    // Erase in place, keeping the cell's order (the gather order), and
+    // renumber the entries that moved up.
     auto& old_cell = node_cells_[old_index];
-    old_cell.erase(std::find_if(old_cell.begin(), old_cell.end(), is_node));
+    const uint32_t gone = node_entry_of_[slot];
+    old_cell.erase(old_cell.begin() + gone);
+    for (uint32_t j = gone; j < old_cell.size(); ++j) {
+      node_entry_of_[static_cast<size_t>(old_cell[j].node->id())] = j;
+    }
   }
+  auto& cell = node_cells_[index];
   node_cell_of_[slot] = index;
-  node_cells_[index].push_back(BucketEntry{position, node});
+  node_entry_of_[slot] = static_cast<uint32_t>(cell.size());
+  cell.push_back(BucketEntry{position, node});
 }
 
 void Channel::RebucketNode(Node* node, const Point& position) {
@@ -109,6 +118,7 @@ void Channel::PeriodicSweep() {
       node_cells_.assign(static_cast<size_t>(grid_nx_) * grid_ny_, {});
       air_cells_.assign(static_cast<size_t>(grid_nx_) * grid_ny_, {});
       std::fill(node_cell_of_.begin(), node_cell_of_.end(), -1);
+      std::fill(node_entry_of_.begin(), node_entry_of_.end(), 0);
       for (size_t i = 0; i < live_air.end_times.size(); ++i) {
         air_cells_[CellIndexOf(live_air.origins[i])].Add(
             live_air.origins[i], live_air.end_times[i]);

@@ -349,6 +349,9 @@ class Channel {
   // unbucketed). The periodic refresh touches every node, so this
   // lookup must not hash.
   std::vector<int32_t> node_cell_of_;
+  // Each bucketed node's index within its cell, beside node_cell_of_, so
+  // a refresh that keeps a node's cell rewrites its position in one store.
+  std::vector<uint32_t> node_entry_of_;
   mutable std::vector<AirLane> air_cells_;
   mutable std::vector<BucketEntry> scratch_;  // Gather buffer.
   // Audible receivers of the frame being transmitted, sorted by id. The

@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 
+#include "git_sha.h"
 #include "harness/experiment.h"
 
 namespace diknn::bench {
@@ -64,13 +65,11 @@ inline bool WindowedFromEnv() {
 
 /// Provenance header for every BENCH_*.json: perf numbers are only
 /// comparable between runs from the same machine class and build, so
-/// each artifact records where it came from. The sha / build type come
-/// from CMake compile definitions (configure-time `git rev-parse`);
-/// "unknown" outside a git checkout.
+/// each artifact records where it came from. The sha comes from the
+/// generated git_sha.h (bench/git_sha.cmake, re-read on every build;
+/// "unknown" outside a git checkout), the build type from a CMake
+/// compile definition.
 inline std::string ProvenanceJson() {
-#ifndef DIKNN_GIT_SHA
-#define DIKNN_GIT_SHA "unknown"
-#endif
 #ifndef DIKNN_BUILD_TYPE
 #define DIKNN_BUILD_TYPE "unknown"
 #endif

@@ -6,8 +6,9 @@
 # DIKNN_OBS_SMOKE / DIKNN_MICRO_SMOKE / DIKNN_PDES_SMOKE runs and a
 # 2000-frame bench_channel, so the bench binaries themselves are
 # exercised; bench_micro's steady-state allocation gate runs at full
-# strength even in smoke mode, and bench_channel fails if the grid and
-# brute-force traffic counters diverge), then the six examples and a
+# strength even in smoke mode, bench_channel fails if the grid and
+# brute-force traffic counters diverge, and in a git checkout its
+# record's provenance sha must equal HEAD), then the six examples and a
 # one-run bench_window_query, which must all exit 0
 # (DIKNN_CHECK_BENCH=0 skips this block).
 # The smokes run in a temporary directory: a bench writes
@@ -26,6 +27,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+repo="$PWD"
 bench="$PWD/build/bench"
 examples="$PWD/build/examples"
 
@@ -60,6 +62,20 @@ if [[ "${DIKNN_CHECK_BENCH:-1}" != "0" ]]; then
     DIKNN_PDES_QUERY_SMOKE=1 "$bench/bench_pdes"
     echo "== bench_channel smoke (grid vs brute-force equivalence) =="
     DIKNN_BENCH_FRAMES=2000 DIKNN_BENCH_SIZES=250,1000 "$bench/bench_channel"
+    # Benches read the sha at build time (bench/git_sha.cmake), so the
+    # record just written must name the checked-out commit.
+    if command -v python3 >/dev/null &&
+        head_sha="$(git -C "$repo" rev-parse --short HEAD 2>/dev/null)"; then
+      python3 - BENCH_channel.json "$head_sha" <<'PY'
+import json
+import sys
+
+sha = json.load(open(sys.argv[1]))["provenance"]["git_sha"]
+if sha != sys.argv[2]:
+    sys.exit(f"BENCH_channel.json names {sha}, HEAD is {sys.argv[2]}")
+print(f"provenance git_sha {sha} == HEAD")
+PY
+    fi
     # The examples and bench_window_query are the only non-test binaries
     # that drive both itinerary sweeps (window and aggregate).
     echo "== examples =="

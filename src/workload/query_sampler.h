@@ -3,7 +3,9 @@
 // The serial QueryDriver and the sharded engine's arrival schedule
 // (psim/query_plane.h) draw their queries through one QuerySampler, so
 // for one spec and seed they issue the same sequence: inter-arrival gap,
-// then class, sink, query point and k, in exactly that RNG order.
+// then class, sink, query point and k, in exactly that RNG order. The
+// class takes a draw only when the spec weights more than one class, so
+// a one-class spec draws gap, sink (when drawn per query), point and k.
 // Hotspot centers are drawn once, at construction.
 
 #ifndef DIKNN_WORKLOAD_QUERY_SAMPLER_H_
@@ -44,7 +46,8 @@ class QuerySampler {
   /// the fixed 1/rate spacing.
   double NextInterval();
 
-  /// Draws the next arrival's class, sink, point and k, in that order.
+  /// Draws the next arrival's class (only when several classes have
+  /// weight), sink, point and k, in that order.
   SampledQuery Next();
 
  private:

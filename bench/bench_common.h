@@ -80,10 +80,11 @@ inline std::string ProvenanceJson() {
 }
 
 /// The paper's Section 5.1 default experiment, parameterized by protocol.
+/// Its queries are ExperimentConfig's default spec, the paper's k = 40
+/// stream; set `workload->k_lo`/`k_hi` to vary k.
 inline ExperimentConfig PaperDefaults(ProtocolKind kind) {
   ExperimentConfig config;
   config.protocol = kind;
-  config.k = 40;
   config.runs = RunsFromEnv();
   config.duration = DurationFromEnv();
   config.jobs = JobsFromEnv();
@@ -99,12 +100,19 @@ inline void PrintHeader(const char* title, const char* x_label) {
               "latency(s)", "energy(J)", "pre_acc", "post_acc", "timeout%");
 }
 
+/// One table row. The latency cell averages the runs that resolved a
+/// query and reads n/a when none did.
 inline void PrintRow(const std::string& x, ProtocolKind kind,
                      const ExperimentMetrics& m) {
-  std::printf("%-10s %-10s %9.3f±%-5.2f %9.3f %10.3f %10.3f %9.1f%%\n",
-              x.c_str(), ProtocolName(kind), m.latency.mean,
-              m.latency.stddev, m.energy.mean, m.pre_accuracy.mean,
-              m.post_accuracy.mean, 100.0 * m.timeout_rate.mean);
+  char latency[32] = "n/a";
+  if (m.latency.count > 0) {
+    std::snprintf(latency, sizeof(latency), "%9.3f±%-5.2f", m.latency.mean,
+                  m.latency.stddev);
+  }
+  std::printf("%-10s %-10s %16s %9.3f %10.3f %10.3f %9.1f%%\n", x.c_str(),
+              ProtocolName(kind), latency, m.energy.mean,
+              m.pre_accuracy.mean, m.post_accuracy.mean,
+              100.0 * m.timeout_rate.mean);
   std::fflush(stdout);
 }
 

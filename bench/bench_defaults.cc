@@ -30,7 +30,7 @@ int main() {
   std::printf("%-24s %-14s | %-24s %s\n", "Channel rate", "250 kbps",
               "RTS/CTS", "off");
   std::printf("%-24s %-14.3f | %-24s %.0f s (exp.)\n", "m (time unit, s)",
-              dk.time_unit, "Query interval", config.query_interval_mean);
+              dk.time_unit, "Query interval", 1.0 / config.workload->rate);
   std::printf("%-24s %-14s | %-24s %.1f\n", "Rendezvous",
               dk.rendezvous ? "enabled" : "disabled", "Assurance gain",
               dk.assurance_gain);

@@ -60,9 +60,10 @@ int main() {
     checks += m.lifecycle_checks;
     violations += m.lifecycle_violations;
     leaked += m.leaked_entries;
-    std::printf("%-6llu %8d %9d %8llu %10llu %12llu %8llu\n",
+    std::printf("%-6llu %8llu %9llu %8llu %10llu %12llu %8llu\n",
                 static_cast<unsigned long long>(config.base_seed + i),
-                m.queries, m.timeouts,
+                static_cast<unsigned long long>(m.slo.issued),
+                static_cast<unsigned long long>(m.slo.timed_out),
                 static_cast<unsigned long long>(m.faults_injected),
                 static_cast<unsigned long long>(m.lifecycle_checks),
                 static_cast<unsigned long long>(m.lifecycle_violations),

@@ -23,7 +23,7 @@ int main() {
   for (int k : {20, 40, 60, 80, 100}) {
     for (ProtocolKind kind : kinds) {
       ExperimentConfig config = PaperDefaults(kind);
-      config.k = k;
+      config.workload->k_lo = config.workload->k_hi = k;
       PrintRow(std::to_string(k), kind, RunExperiment(config));
     }
   }

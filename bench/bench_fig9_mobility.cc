@@ -24,7 +24,6 @@ int main() {
   for (double mu : {5.0, 10.0, 15.0, 20.0, 25.0, 30.0}) {
     for (ProtocolKind kind : kinds) {
       ExperimentConfig config = PaperDefaults(kind);
-      config.k = 40;
       config.network.max_speed = mu;
       PrintRow(std::to_string(static_cast<int>(mu)) + " m/s", kind,
                RunExperiment(config));

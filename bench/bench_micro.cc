@@ -228,12 +228,12 @@ struct GateWindow {
 // One seeded DIKNN run; both counters are reset at the midpoint so only
 // the steady-state (post-warm-up, post-capacity-growth) half is measured.
 GateWindow RunGateOnce(uint64_t seed) {
+  constexpr int kK = 20;
+  constexpr double kQueryIntervalMean = 0.5;
   ExperimentConfig config;
   config.network.node_count = 150;
   config.network.field = Rect::Field(100, 100);
-  config.k = 20;
   config.duration = 20.0;
-  config.query_interval_mean = 0.5;
 
   ProtocolStack stack(config, seed);
   Network& net = stack.network();
@@ -244,11 +244,11 @@ GateWindow RunGateOnce(uint64_t seed) {
   const SimTime deadline = net.sim().Now() + config.duration;
   std::function<void()> issue_next = [&]() {
     const SimTime next =
-        net.sim().Now() + rng.Exponential(config.query_interval_mean);
+        net.sim().Now() + rng.Exponential(kQueryIntervalMean);
     if (next >= deadline) return;
     net.sim().ScheduleAt(next, [&]() {
       const Point q = rng.PointInRect(config.network.field);
-      stack.protocol().IssueQuery(0, q, config.k,
+      stack.protocol().IssueQuery(0, q, kK,
                                   [&](const KnnResult&) { ++w.completions; });
       issue_next();
     });

@@ -21,14 +21,15 @@ int main() {
         ProtocolKind::kPeerTree, ProtocolKind::kFlooding}) {
     ExperimentConfig config;
     config.protocol = kind;
-    config.k = 20;
+    config.workload->k_lo = config.workload->k_hi = 20;
     config.duration = 40.0;
     config.runs = 1;
     const RunMetrics m = RunOnce(config, /*seed=*/3);
-    std::printf("%-10s %10.2f %10.3f %9.2f %9.2f %6d (%d t/o)\n",
-                ProtocolName(kind), m.avg_latency, m.energy_joules,
-                m.avg_pre_accuracy, m.avg_post_accuracy, m.queries,
-                m.timeouts);
+    std::printf("%-10s %10.2f %10.3f %9.2f %9.2f %6llu (%llu t/o)\n",
+                ProtocolName(kind), m.slo.latency.Mean(), m.energy_joules,
+                m.avg_pre_accuracy, m.avg_post_accuracy,
+                static_cast<unsigned long long>(m.slo.issued),
+                static_cast<unsigned long long>(m.slo.timed_out));
   }
   std::printf("\nthe full sweeps (Figs. 8 and 9) live in build/bench/.\n");
   return 0;

@@ -19,9 +19,10 @@
 # (net.allocs == 0, net.alloc_per_frame == 0; see docs/PACKET_PLANE.md),
 # the same allocation gate on a dup@ fault-plan run, which must also drop
 # re-aired copies (mac.duplicates_dropped > 0), a frame-log smoke of
-# `diknn-sim --trace` (a --workload run's log must equal a paper run's at
-# the spec's k@lo), a CLI validation check, and the repo benchmark's
-# smoke mode (benchmark/run.sh --smoke).
+# `diknn-sim --trace` (a --workload run's log must equal a --k run's at
+# the spec's k@lo), a check that the default run is the paper's Section
+# 5.1 spec, a CLI validation check, and the repo benchmark's smoke mode
+# (benchmark/run.sh --smoke).
 #
 # Usage: scripts/check_all.sh
 set -euo pipefail
@@ -142,7 +143,7 @@ grep -q ',DiknnForward,' "$obs_dir/frames.csv" \
   || { echo "frame log: no DiknnForward row"; exit 1; }
 echo "frame log: $(($(wc -l < "$obs_dir/frames.csv") - 1)) frames"
 # A --workload run cannot set --k: its logged query takes the spec's
-# k@lo, so its log must equal a paper run's at that k.
+# k@lo, so its log must equal a run's whose --k sets that k.
 ./build/tools/diknn-sim --runs 1 --duration 5 \
   --workload 'arrival@kind=poisson,rate=1;k@lo=5' \
   --trace "$obs_dir/frames_workload.csv" >/dev/null
@@ -151,6 +152,16 @@ echo "frame log: $(($(wc -l < "$obs_dir/frames.csv") - 1)) frames"
 cmp "$obs_dir/frames_workload.csv" "$obs_dir/frames_k5.csv" \
   || { echo "frame log: the workload run's query ignores k@lo"; exit 1; }
 echo "frame log: a --workload run logs a query at its spec's k@lo"
+
+echo "== default workload smoke =="
+# Without --workload a run replays the paper's Section 5.1 spec, so
+# naming that spec must change no byte of the output.
+./build/tools/diknn-sim --runs 2 --duration 20 >"$obs_dir/default.txt"
+./build/tools/diknn-sim --runs 2 --duration 20 \
+  --workload 'arrival@kind=poisson,rate=0.25;k@lo=40' >"$obs_dir/spec.txt"
+cmp "$obs_dir/default.txt" "$obs_dir/spec.txt" \
+  || { echo "the default run is not the Section 5.1 spec"; exit 1; }
+echo "default run == 'arrival@kind=poisson,rate=0.25;k@lo=40'"
 
 echo "== CLI validation =="
 # Each of these must exit 2 before simulating anything.
@@ -178,21 +189,26 @@ expect_exit2 --workload 'arrival@kind=poisson,rate=1;k@lo=4294967297'
 expect_exit2 --workload 'arrival@kind=poisson,rate=1;k@lo=5;trace@rate=1'
 expect_exit2 --workload \
   'arrival@kind=poisson,rate=1;k@lo=5;timeseries@interval=1'
-# A workload run takes k and arrivals from its spec: the paper
-# generator's --k and --interval would go unread. These probes and the
-# ignored-flag cases below pass a valid spec, so only the flag under
-# test can cause the exit 2.
+# --k and --interval edit the default spec; a --workload spec replaces
+# it, so they would go unread. These probes and the ignored-flag cases
+# below pass a valid spec, so only the flag under test can cause the
+# exit 2.
 windowed_spec='arrival@kind=poisson,rate=1;k@lo=5'
 expect_exit2 --workload "$windowed_spec" --k 5
 expect_exit2 --workload "$windowed_spec" --interval 2
 # The windowed engine runs its own DIKNN emulation on a uniform field
-# without faults or traces, and issues queries only from a workload
-# spec: a flag it would ignore exits 2 rather than mislabel the run,
-# and so does a run without --workload.
+# without faults or traces: a flag it would ignore exits 2 rather than
+# mislabel the run.
 expect_exit2 --shards 2 --protocol kpt --workload "$windowed_spec"
 expect_exit2 --windowed --faults 'kill@t=1,count=5' \
   --workload "$windowed_spec"
-expect_exit2 --shards 2
+# Without --workload the windowed engine runs the default spec: it exits
+# 0 and issues queries.
+windowed_default="$(timeout 60 ./build/tools/diknn-sim --windowed --runs 1 \
+  --duration 20)"
+grep -Eq 'run 0 \(seed 42\): [1-9][0-9]* queries' <<<"$windowed_default" \
+  || { echo "--windowed without --workload issued no queries"; exit 1; }
+echo "--windowed without --workload runs the default spec"
 
 echo "== served-workload smoke =="
 ./build/tools/diknn-sim --runs 1 --duration 30 --nodes 120 --field 90 \

@@ -1,7 +1,9 @@
-// Experiment runner: builds a network, installs a KNN protocol, drives the
-// paper's query workload (Poisson arrivals from random sinks to random
-// query points), scores every query against the ground-truth oracle, and
-// aggregates the paper's three metrics over repeated seeded runs.
+// Experiment runner: builds a network, installs a KNN protocol, replays a
+// workload spec through the QueryDriver (by default the paper's Section
+// 5.1 stream: Poisson arrivals at the sink, uniform query points),
+// scores every query into an SloReport and against the ground-truth
+// oracle, and aggregates the paper's three metrics over repeated seeded
+// runs.
 
 #ifndef DIKNN_HARNESS_EXPERIMENT_H_
 #define DIKNN_HARNESS_EXPERIMENT_H_
@@ -19,6 +21,7 @@
 #include "harness/metrics.h"
 #include "knn/diknn.h"
 #include "net/network.h"
+#include "workload/query_sink.h"
 #include "workload/workload_spec.h"
 
 namespace diknn {
@@ -43,15 +46,13 @@ const char* ProtocolName(ProtocolKind kind);
 struct ExperimentConfig {
   NetworkConfig network;
   ProtocolKind protocol = ProtocolKind::kDiknn;
-  int k = 40;
   /// Issue all queries from a stationary sink node (node 0), the usual
   /// WSN base-station reading of "the sink node s". When false, each
   /// query picks a random mobile node as its sink.
   bool static_sink = true;
-  double query_interval_mean = 4.0;  ///< Exponential inter-arrival (s).
-  SimTime duration = 100.0;          ///< Queries issued during [0, duration).
-  SimTime warmup = 2.5;              ///< Beacon/registration warm-up.
-  SimTime drain = 9.0;               ///< Post-duration settling time.
+  SimTime duration = 100.0;  ///< Queries issued during [0, duration).
+  SimTime warmup = 2.5;      ///< Beacon/registration warm-up.
+  SimTime drain = 9.0;       ///< Post-duration settling time.
   int runs = 20;
   uint64_t base_seed = 42;
   /// Worker threads for RunExperiment's repetitions. Each (config, seed)
@@ -70,22 +71,25 @@ struct ExperimentConfig {
   /// state is reclaimed at every completion and count post-drain leaks
   /// into RunMetrics. No effect on other protocols.
   bool audit_lifecycle = false;
-  /// When set, a QueryDriver replays this spec instead of the paper's
-  /// one-at-a-time Poisson generator: concurrent queries, mixed classes,
-  /// deadlines, admission control, and an SloReport in RunMetrics::slo.
-  /// `query_interval_mean` and `k` are ignored in that case (the spec's
-  /// arrival and k sections govern). See src/workload/workload_spec.h.
-  std::optional<WorkloadSpec> workload;
+  /// The queries of every run (src/workload/workload_spec.h), replayed
+  /// by a QueryDriver on the serial engine and by the query plane on the
+  /// windowed one; either scores an SloReport into RunMetrics::slo. The
+  /// default is the paper's Section 5.1 stream: one k = 40 point-KNN
+  /// query per exponential(4 s) arrival, the spec
+  /// "arrival@kind=poisson,rate=0.25;k@lo=40". Edit its k_lo/k_hi and
+  /// rate to vary k and the query interval. It must hold a spec: an
+  /// empty optional is a caller error.
+  std::optional<WorkloadSpec> workload = WorkloadSpec{.rate = 0.25};
   /// Worker threads *inside* one run: > 1 tiles the sensor field
   /// (column strips, or a rows x cols grid when the field is too narrow
   /// for that many strips) and runs the conservative parallel engine
   /// (src/psim) instead of the serial stack. --shards 1 (the default) is
   /// the serial engine, unchanged — it is the determinism anchor that
   /// the golden-seed outputs in engine_determinism_test pin. Sharded runs
-  /// simulate the beacon substrate plus — when `workload` is set — the
-  /// full query plane (GPSR forwarding, DIKNN itineraries, the serving
-  /// front end), reporting psim.* / qp.* / serving.* metrics and a
-  /// populated SloReport; the SLO report and every partition-invariant
+  /// simulate the beacon substrate plus the workload's full query plane
+  /// (GPSR forwarding, DIKNN itineraries, the serving front end),
+  /// reporting psim.* / qp.* / serving.* metrics and a populated
+  /// SloReport; the SLO report and every partition-invariant
   /// traffic counter are byte-equal across shard counts
   /// (psim_determinism_test). Compose with `jobs` carefully: the total
   /// thread count is jobs x shards.
@@ -137,11 +141,12 @@ class ProtocolStack {
 };
 
 /// Runs one seeded simulation and returns its metrics. `records_out`, when
-/// non-null, receives the per-query records. `trace_out`, when non-null
-/// and the effective trace rate is positive, receives the run's recorded
-/// trace (feed it to a TraceSink for Chrome-trace / critical-path export).
+/// non-null, receives the serial engine's per-query records (a windowed
+/// run leaves it untouched). `trace_out`, when non-null and the effective
+/// trace rate is positive, receives the run's recorded trace (feed it to a
+/// TraceSink for Chrome-trace / critical-path export).
 RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
-                   std::vector<QueryRecord>* records_out = nullptr,
+                   std::vector<WorkloadQueryRecord>* records_out = nullptr,
                    TraceData* trace_out = nullptr);
 
 /// Runs `config.runs` seeded repetitions (seeds base_seed .. base_seed +

@@ -61,13 +61,11 @@ ExperimentMetrics AggregateRuns(const std::vector<RunMetrics>& runs) {
   out.runs = static_cast<int>(runs.size());
   std::vector<double> lat, pre, post, energy, to_rate, goodput;
   for (const RunMetrics& r : runs) {
-    lat.push_back(r.avg_latency);
+    if (r.slo.latency.Count() > 0) lat.push_back(r.slo.latency.Mean());
     pre.push_back(r.avg_pre_accuracy);
     post.push_back(r.avg_post_accuracy);
     energy.push_back(r.energy_joules);
-    to_rate.push_back(r.queries > 0
-                          ? static_cast<double>(r.timeouts) / r.queries
-                          : 0.0);
+    to_rate.push_back(r.slo.TimeoutRate());
     goodput.push_back(r.slo.GoodputQps());
     out.slo.Merge(r.slo);
     out.obs.Merge(r.obs);

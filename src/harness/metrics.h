@@ -1,7 +1,12 @@
 // Metric definitions and aggregation for the experiment harness.
 //
 // The paper's three metrics (Section 5.1):
-//   Query latency  — seconds from issue to result receipt at the sink.
+//   Query latency  — seconds from issue to result receipt at the sink,
+//                    averaged over the queries that resolved (completed
+//                    or deadline-missed; the run's SloReport). A
+//                    timed-out query counts in the timeout rate instead,
+//                    and a run with no resolved query has no mean latency
+//                    (printed n/a, left out of ExperimentMetrics::latency).
 //   Energy         — Joules consumed in a simulation run (we report the
 //                    query + index-maintenance categories; the periodic
 //                    beacon cost is identical across schemes and reported
@@ -25,23 +30,9 @@
 
 namespace diknn {
 
-/// Outcome of a single query.
-struct QueryRecord {
-  uint64_t query_id = 0;
-  double latency = 0.0;
-  double pre_accuracy = 0.0;
-  double post_accuracy = 0.0;
-  bool timed_out = false;
-};
-
 /// Aggregated outcome of one simulation run.
 struct RunMetrics {
-  int queries = 0;
-  int timeouts = 0;
-  double avg_latency = 0.0;
-  double p50_latency = 0.0;  ///< Median latency across the run's queries.
-  double p95_latency = 0.0;  ///< Tail latency across the run's queries.
-  double p99_latency = 0.0;  ///< Far-tail latency across the run's queries.
+  /// Mean accuracies over the run's scored KNN answers (0 when none).
   double avg_pre_accuracy = 0.0;
   double avg_post_accuracy = 0.0;
   double energy_joules = 0.0;        ///< Query + maintenance energy.
@@ -57,9 +48,9 @@ struct RunMetrics {
   /// requested tile count). Both 1 on serial runs.
   int shards_requested = 1;
   int shards_effective = 1;
-  /// SLO scorecard of the run's workload. Populated only when the run was
-  /// driven by a WorkloadSpec (ExperimentConfig::workload); empty (issued
-  /// == 0) on paper-style runs.
+  /// SLO scorecard of the run's workload (ExperimentConfig::workload):
+  /// query counts by outcome, and the latency distribution and mean of
+  /// the queries that resolved.
   SloReport slo;
   /// Scheduler counters for the run (Simulator::engine_stats(); psim
   /// runs merge their shards' with MergeEngineStats).
@@ -100,13 +91,15 @@ std::vector<double> Percentiles(std::vector<double> values,
 
 /// RunMetrics averaged across repeated runs, with per-metric summaries.
 struct ExperimentMetrics {
+  /// Per-run mean latency, over the runs that resolved a query (count 0
+  /// when none did).
   Summary latency;
   Summary pre_accuracy;
   Summary post_accuracy;
   Summary energy;
   Summary timeout_rate;
-  /// Per-run goodput (completed queries per second); zeros without a
-  /// workload spec.
+  /// Per-run goodput (queries per second completed within their
+  /// deadline).
   Summary goodput;
   /// Merged SLO scorecard across runs (integer bucket counts, so the
   /// merge is bit-identical at any jobs setting).

@@ -159,7 +159,7 @@ void Diknn::IssueQuery(NodeId sink, Point q, int k, ResultHandler handler) {
   if (tracer_ != nullptr) {
     // Join the workload driver's ambient trace when one is open (the
     // driver's root span then covers queueing ahead of the protocol);
-    // otherwise this query is its own trace root (paper-style launch).
+    // otherwise this query is its own trace root (a direct launch).
     pending.trace = tracer_->has_ambient()
                         ? tracer_->ambient()
                         : tracer_->StartQuery(pending.issued_at);

@@ -167,7 +167,7 @@ class Diknn : public KnnProtocol {
   /// tree and protocol events (void skips, rendezvous, boundary
   /// adjustments) for sampled queries. Not owned; may be null. When the
   /// workload driver holds an ambient trace context at IssueQuery time the
-  /// protocol joins that trace; otherwise it starts its own (paper path).
+  /// protocol joins that trace; otherwise it starts its own.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   /// Current size of every per-query container (lifecycle auditing).

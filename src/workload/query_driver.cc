@@ -111,8 +111,9 @@ void QueryDriver::Launch(const SinkQuery& query) {
       // Hand the root context to the protocol for the duration of the
       // launch call: its IssueQuery adopts the ambient trace instead of
       // starting a second one, so protocol phases nest under this root.
-      Tracer::AmbientScope ambient(
-          query.trace.sampled() ? sink_.tracer() : nullptr, query.trace);
+      // An unsampled context is handed over too: the sink made the one
+      // sampling decision this query gets.
+      Tracer::AmbientScope ambient(sink_.tracer(), query.trace);
       protocol_->IssueQuery(query.sink, query.q, query.k,
                             [resolve](const KnnResult& result) {
                               resolve(result, result.candidates);

@@ -20,7 +20,7 @@ ExperimentConfig DenseConfig() {
   ExperimentConfig config;
   config.network.node_count = 120;
   config.network.field = Rect::Field(90, 90);
-  config.k = 8;
+  config.workload->k_lo = config.workload->k_hi = 8;
   config.runs = 1;
   config.drain = 6.0;
   return config;
@@ -42,7 +42,7 @@ TEST(ConcurrentQueriesTest, FortySimultaneousDiknnQueriesNoResidue) {
   int outstanding_at_first_completion = -1;
   for (int i = 0; i < kQueries; ++i) {
     stack.protocol().IssueQuery(
-        0, rng.PointInRect(config.network.field), config.k,
+        0, rng.PointInRect(config.network.field), config.workload->k_lo,
         [&](const KnnResult&) {
           if (completions == 0) {
             outstanding_at_first_completion = kQueries - completions;

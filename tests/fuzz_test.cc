@@ -40,7 +40,7 @@ TEST_P(ProtocolFuzzTest, InvariantsHoldUnderRandomConfigs) {
   config.network.placement = rng.Bernoulli(0.3)
                                  ? PlacementKind::kClustered
                                  : PlacementKind::kUniform;
-  config.k = rng.UniformInt(1, 60);
+  const int k = rng.UniformInt(1, 60);
   config.diknn.num_sectors = rng.UniformInt(1, 12);
   config.diknn.rendezvous = rng.Bernoulli(0.7);
   config.diknn.collection_scheme =
@@ -57,7 +57,6 @@ TEST_P(ProtocolFuzzTest, InvariantsHoldUnderRandomConfigs) {
 
   for (int i = 0; i < queries; ++i) {
     const Point q = rng.PointInRect(config.network.field);
-    const int k = config.k;
     stack.protocol().IssueQuery(
         0, q, k, [&, k](const KnnResult& result) {
           ++handler_calls;

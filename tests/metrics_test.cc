@@ -71,18 +71,27 @@ TEST(PercentileTest, BatchOverloadMatchesPerCallResults) {
               (std::vector<double>{0.0, 0.0}));
 }
 
+// A run whose SloReport saw `timed_out` of its `issued` queries time out
+// and the rest resolve at `latencies`.
+RunMetrics RunWithSlo(uint64_t issued, uint64_t timed_out,
+                      const std::vector<double>& latencies) {
+  RunMetrics r;
+  r.slo.issued = issued;
+  r.slo.timed_out = timed_out;
+  r.slo.completed = latencies.size();
+  for (double v : latencies) r.slo.latency.Add(v);
+  return r;
+}
+
 TEST(AggregateRunsTest, CombinesAcrossRuns) {
-  RunMetrics a;
-  a.queries = 10;
-  a.timeouts = 1;
-  a.avg_latency = 2.0;
+  RunMetrics a = RunWithSlo(10, 1, {1.5, 2.5});
   a.avg_pre_accuracy = 0.8;
   a.avg_post_accuracy = 0.9;
   a.energy_joules = 5.0;
-  RunMetrics b = a;
-  b.avg_latency = 4.0;
+  RunMetrics b = RunWithSlo(10, 3, {4.0});
+  b.avg_pre_accuracy = 0.8;
+  b.avg_post_accuracy = 0.9;
   b.energy_joules = 7.0;
-  b.timeouts = 3;
 
   const ExperimentMetrics m = AggregateRuns({a, b});
   EXPECT_EQ(m.runs, 2);
@@ -90,6 +99,18 @@ TEST(AggregateRunsTest, CombinesAcrossRuns) {
   EXPECT_DOUBLE_EQ(m.energy.mean, 6.0);
   EXPECT_DOUBLE_EQ(m.pre_accuracy.mean, 0.8);
   EXPECT_DOUBLE_EQ(m.timeout_rate.mean, 0.2);
+}
+
+// Mean latency averages resolved queries only, so a run in which every
+// query timed out has none: it counts in the timeout rate and stays out
+// of the latency summary instead of entering it as 0.
+TEST(AggregateRunsTest, RunWithoutResolvedQueriesLeavesLatencyOut) {
+  const RunMetrics resolved = RunWithSlo(4, 1, {2.0, 3.0, 4.0});
+  const RunMetrics none = RunWithSlo(4, 4, {});
+  const ExperimentMetrics m = AggregateRuns({resolved, none});
+  EXPECT_EQ(m.latency.count, 1);
+  EXPECT_DOUBLE_EQ(m.latency.mean, 3.0);
+  EXPECT_DOUBLE_EQ(m.timeout_rate.mean, 0.625);
 }
 
 TEST(AggregateRunsTest, EmptyRuns) {

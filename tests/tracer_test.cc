@@ -151,7 +151,7 @@ TEST(TracerTest, AmbientScopeExposesContextWithinScope) {
 }
 
 TEST(TracerTest, AmbientScopeToleratesNullTracer) {
-  // The workload driver passes nullptr when the query is unsampled.
+  // The workload driver passes nullptr when the run is untraced.
   Tracer::AmbientScope ambient(nullptr, TraceContext{});
 }
 
@@ -161,7 +161,7 @@ ExperimentConfig TracedConfig() {
   ExperimentConfig config;
   config.network.node_count = 70;
   config.network.field = Rect::Field(68.0, 68.0);
-  config.k = 8;
+  config.workload->k_lo = config.workload->k_hi = 8;
   config.duration = 6.0;
   config.drain = 4.0;
   config.runs = 1;
@@ -172,7 +172,7 @@ ExperimentConfig TracedConfig() {
 TEST(TracerTest, RealRunProducesWellFormedSpanTrees) {
   TraceData trace;
   const RunMetrics metrics = RunOnce(TracedConfig(), 42, nullptr, &trace);
-  ASSERT_GT(metrics.queries, 0);
+  ASSERT_GT(metrics.slo.issued, 0u);
   ASSERT_GT(trace.stats.queries_sampled, 0u);
   ASSERT_FALSE(trace.spans.empty());
 
@@ -282,10 +282,10 @@ TEST(TracerTest, SampledRunTracesOnlySampledSubset) {
   config.trace_sample = 0.5;
   // A dense arrival stream so the 50% split has enough queries on both
   // sides of the sampling decision.
-  config.query_interval_mean = 0.3;
+  config.workload->rate = 1.0 / 0.3;
   TraceData trace;
   const RunMetrics metrics = RunOnce(config, 42, nullptr, &trace);
-  ASSERT_GT(metrics.queries, 0);
+  ASSERT_GT(metrics.slo.issued, 0u);
   EXPECT_EQ(trace.sample_rate, 0.5);
   EXPECT_GT(trace.stats.queries_seen, trace.stats.queries_sampled);
   EXPECT_GT(trace.stats.queries_sampled, 0u);

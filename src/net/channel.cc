@@ -40,7 +40,7 @@ void Channel::PlaceNode(Node* node, const Point& position) {
     return;
   }
   if (old_index >= 0) {
-    // Erase in place, keeping the cell's order (the gather order), and
+    // Erase in place, keeping the cell's order (the scan order), and
     // renumber the entries that moved up.
     auto& old_cell = node_cells_[old_index];
     const uint32_t gone = node_entry_of_[slot];
@@ -133,21 +133,6 @@ void Channel::PeriodicSweep() {
     for (AirLane& lane : air_cells_) lane.Compact(now);
   }
   SweepReceptions(now);
-}
-
-void Channel::GatherCandidates(const Point& origin) const {
-  scratch_.clear();
-  const CellCoord c = CellCoordOf(origin);
-  const int32_t x0 = std::max(c.cx - 1, 0);
-  const int32_t x1 = std::min(c.cx + 1, grid_nx_ - 1);
-  const int32_t y0 = std::max(c.cy - 1, 0);
-  const int32_t y1 = std::min(c.cy + 1, grid_ny_ - 1);
-  for (int32_t cy = y0; cy <= y1; ++cy) {
-    for (int32_t cx = x0; cx <= x1; ++cx) {
-      const auto& cell = node_cells_[cy * grid_nx_ + cx];
-      scratch_.insert(scratch_.end(), cell.begin(), cell.end());
-    }
-  }
 }
 
 bool Channel::IsBusyAt(const Point& pos) const {
@@ -256,26 +241,33 @@ void Channel::Transmit(Node* sender, const Packet& packet) {
     // survivors are sorted by id, before any per-receiver work or RNG
     // draw, so grid and brute-force runs stay bit-identical. A grid
     // candidate is judged from its bucketed position first, and only
-    // one in the drift band takes the exact range check. The candidates
-    // are copied out of their cells: Position() can start a movement
-    // leg, which re-buckets the node.
+    // one in the drift band takes the exact range check.
     const double range2 = params_.radio_range_m * params_.radio_range_m;
     receivers_.clear();
     if (params_.use_spatial_grid) {
       const DriftBand band(params_.radio_range_m,
                            speed_bound_ * (now - last_refresh_));
-      GatherCandidates(origin);
-      for (const BucketEntry& candidate : scratch_) {
-        ++stats_.candidates_scanned;
-        const Reach reach = band.Classify(candidate.at, origin);
-        if (reach == Reach::kOut) continue;
-        Node* receiver = candidate.node;
-        if (receiver == sender || !receiver->alive()) continue;
-        if (reach == Reach::kCheck &&
-            SquaredDistance(receiver->Position(), origin) > range2) {
-          continue;
+      const CellCoord c = CellCoordOf(origin);
+      const int32_t x0 = std::max(c.cx - 1, 0);
+      const int32_t x1 = std::min(c.cx + 1, grid_nx_ - 1);
+      const int32_t y0 = std::max(c.cy - 1, 0);
+      const int32_t y1 = std::min(c.cy + 1, grid_ny_ - 1);
+      for (int32_t cy = y0; cy <= y1; ++cy) {
+        for (int32_t cx = x0; cx <= x1; ++cx) {
+          for (const BucketEntry& candidate :
+               node_cells_[cy * grid_nx_ + cx]) {
+            ++stats_.candidates_scanned;
+            const Reach reach = band.Classify(candidate.at, origin);
+            if (reach == Reach::kOut) continue;
+            Node* receiver = candidate.node;
+            if (receiver == sender || !receiver->alive()) continue;
+            if (reach == Reach::kCheck &&
+                SquaredDistance(receiver->Position(), origin) > range2) {
+              continue;
+            }
+            receivers_.emplace_back(receiver->id(), receiver);
+          }
         }
-        receivers_.emplace_back(receiver->id(), receiver);
       }
     } else {
       for (Node* receiver : nodes_) {

@@ -67,8 +67,8 @@ struct ChannelParams {
   bool use_spatial_grid = true;
   /// How often (simulated seconds) every node is re-bucketed into the
   /// grid. Larger values mean fewer refresh sweeps but a wider drift
-  /// margin (and hence larger cells). Leg-change notifications from the
-  /// mobility layer re-bucket nodes eagerly in between.
+  /// margin (and hence larger cells). The refresh is the only thing that
+  /// moves a mobile node between cells; a pinned node re-buckets at once.
   double grid_refresh_interval_s = 0.25;
 };
 
@@ -110,9 +110,10 @@ class Channel {
   /// Carrier sense: true if any ongoing transmission is audible at `pos`.
   bool IsBusyAt(const Point& pos) const;
 
-  /// Re-buckets `node` at `position` in the spatial grid. Invoked by the
-  /// mobility layer's leg-change hook; harmless no-op for unattached
-  /// nodes or when the grid is disabled / not yet built.
+  /// Re-buckets `node` at `position` in the spatial grid at once. For
+  /// pins (a freeze or a teleport), which break the speed bound the
+  /// drift margin relies on; harmless no-op for unattached nodes or when
+  /// the grid is disabled / not yet built.
   void RebucketNode(Node* node, const Point& position);
 
   /// Air time of a frame of `bytes` (including MAC header) at the
@@ -306,10 +307,6 @@ class Channel {
   // is not yet bucketed) and records `position` as its bucketed one.
   void PlaceNode(Node* node, const Point& position);
 
-  // Copies the 3x3 cell neighborhood around `origin` into `scratch_`, in
-  // cell order. Called under Transmit's AllocScopePause.
-  void GatherCandidates(const Point& origin) const;
-
   // Erases entries in `active_receptions_` whose receptions all ended.
   void SweepReceptions(SimTime now);
 
@@ -353,7 +350,6 @@ class Channel {
   // a refresh that keeps a node's cell rewrites its position in one store.
   std::vector<uint32_t> node_entry_of_;
   mutable std::vector<AirLane> air_cells_;
-  mutable std::vector<BucketEntry> scratch_;  // Gather buffer.
   // Audible receivers of the frame being transmitted, sorted by id. The
   // id is carried beside the node so the sort compares contiguous ints.
   std::vector<std::pair<NodeId, Node*>> receivers_;

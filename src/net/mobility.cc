@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 namespace diknn {
 
@@ -23,10 +24,8 @@ RandomWaypointMobility::RandomWaypointMobility(Point start, Rect field,
   leg_end_time_ = 0.0;  // Forces a fresh leg on the first query.
 }
 
-bool RandomWaypointMobility::AdvanceTo(SimTime t) {
-  bool advanced = false;
+void RandomWaypointMobility::AdvanceTo(SimTime t) {
   while (t >= leg_end_time_) {
-    advanced = true;
     // Arrived: start a new leg from the previous destination.
     leg_start_pos_ = leg_dest_;
     leg_start_time_ = leg_end_time_;
@@ -37,21 +36,14 @@ bool RandomWaypointMobility::AdvanceTo(SimTime t) {
     // Guard against a zero-length leg looping forever.
     leg_end_time_ = leg_start_time_ + std::max(duration, 1e-9);
   }
-  return advanced;
 }
 
 Point RandomWaypointMobility::PositionAt(SimTime t) {
-  const bool new_leg = t >= leg_end_time_ && AdvanceTo(t);
-  Point pos;
-  if (t <= leg_start_time_) {
-    pos = leg_start_pos_;
-  } else {
-    const double frac =
-        (t - leg_start_time_) / (leg_end_time_ - leg_start_time_);
-    pos = Lerp(leg_start_pos_, leg_dest_, std::min(frac, 1.0));
-  }
-  if (new_leg) NotifyLegChange(pos);
-  return pos;
+  if (t >= leg_end_time_) AdvanceTo(t);
+  if (t <= leg_start_time_) return leg_start_pos_;
+  const double frac =
+      (t - leg_start_time_) / (leg_end_time_ - leg_start_time_);
+  return Lerp(leg_start_pos_, leg_dest_, std::min(frac, 1.0));
 }
 
 double RandomWaypointMobility::SpeedAt(SimTime t) {

@@ -4,13 +4,15 @@
 // closed form and answers PositionAt(t) for any non-decreasing sequence of
 // query times, lazily advancing to new legs. No per-tick movement events
 // are ever scheduled, so position lookups are exact and O(1) amortized.
+// A model is a plain function of time: reading a position changes no
+// other state. The channel's spatial grid re-buckets nodes only at its
+// periodic refresh and bounds the drift in between by MaxSpeed(); only a
+// pin (Node::PinPosition), which breaks that bound, re-buckets at once.
 
 #ifndef DIKNN_NET_MOBILITY_H_
 #define DIKNN_NET_MOBILITY_H_
 
-#include <functional>
 #include <memory>
-#include <utility>
 
 #include "core/geometry.h"
 #include "core/rng.h"
@@ -24,13 +26,6 @@ namespace diknn {
 /// clock is monotone, so this never happens in practice).
 class MobilityModel {
  public:
-  /// Invoked with the node's position whenever a lazy position query
-  /// crosses into a new movement leg. Consumers (the channel's spatial
-  /// grid) use it to refresh cached positions eagerly; it is an
-  /// optimization hint only — correctness must not depend on it firing,
-  /// since some models (GroupMobility) never do.
-  using LegChangeObserver = std::function<void(const Point&)>;
-
   virtual ~MobilityModel() = default;
 
   /// Node position at simulation time `t`.
@@ -43,18 +38,6 @@ class MobilityModel {
   /// by the channel's spatial grid to bound how far a node can drift from
   /// its bucketed position between refreshes.
   virtual double MaxSpeed() const = 0;
-
-  void SetLegChangeObserver(LegChangeObserver observer) {
-    leg_observer_ = std::move(observer);
-  }
-
- protected:
-  void NotifyLegChange(const Point& position) {
-    if (leg_observer_) leg_observer_(position);
-  }
-
- private:
-  LegChangeObserver leg_observer_;
 };
 
 /// A node that never moves.
@@ -93,8 +76,7 @@ class RandomWaypointMobility : public MobilityModel {
 
  private:
   // Advances leg state so that `t` falls inside the current leg.
-  // Returns true when at least one new leg was started.
-  bool AdvanceTo(SimTime t);
+  void AdvanceTo(SimTime t);
 
   Rect field_;
   double max_speed_;

@@ -16,14 +16,7 @@ Node::Node(NodeId id, Simulator* sim, Channel* channel,
       neighbors_(params.neighbor_timeout),
       energy_(params.energy),
       rng_(rng),
-      mac_(this, channel, sim, params.mac, rng_.Fork()) {
-  // Keep the channel's spatial grid fresh: whenever a lazy position query
-  // starts a new movement leg, re-bucket this node at the leg position.
-  if (channel_ != nullptr) {
-    mobility_->SetLegChangeObserver(
-        [this](const Point& pos) { channel_->RebucketNode(this, pos); });
-  }
-}
+      mac_(this, channel, sim, params.mac, rng_.Fork()) {}
 
 void Node::PinPosition(const Point& p) {
   position_pinned_ = true;

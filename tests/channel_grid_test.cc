@@ -276,6 +276,39 @@ TEST(ChannelGridEquivalence, GridScansFarFewerCandidates) {
             brute.stats.candidates_scanned / 2);
 }
 
+// Reads every node's position each `period`, as the accuracy oracle and
+// the tracer do, until the simulation stops.
+void ReadPositionsEvery(Network* net, SimTime period) {
+  net->sim().ScheduleAfter(period, [net, period] {
+    for (int i = 0; i < net->size(); ++i) (void)net->node(i)->Position();
+    ReadPositionsEvery(net, period);
+  });
+}
+
+TEST(ChannelGrid, PositionReadsNeverMoveNodesBetweenCells) {
+  // Only the periodic refresh moves a node between cells. A read that
+  // starts a new movement leg must leave the grid as it was, so even the
+  // candidate count of every frame is unchanged.
+  NetworkConfig config;
+  config.node_count = 150;
+  config.mobility = MobilityKind::kRandomWaypoint;
+  config.max_speed = 40.0;  // Many legs start between two refreshes.
+  config.loss_rate = 0.05;
+  config.seed = 2;
+  Network plain(config);
+  plain.Warmup(15.0);
+  Network read(config);
+  ReadPositionsEvery(&read, 0.05);
+  read.Warmup(15.0);
+
+  const ChannelStats& a = plain.channel().stats();
+  const ChannelStats& b = read.channel().stats();
+  ExpectSameStats(a, b);
+  EXPECT_EQ(a.candidates_scanned, b.candidates_scanned);
+  EXPECT_EQ(a.airtime_s, b.airtime_s);
+  EXPECT_EQ(plain.TotalEnergy(), read.TotalEnergy());
+}
+
 TEST(ChannelGrid, CellSizeCoversRadioRangePlusDrift) {
   NetworkConfig config;
   config.node_count = 30;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "core/alloc_probe.h"
 #include "obs/tracer.h"
 
 namespace diknn {
@@ -152,6 +153,10 @@ void QueryDriver::Launch(const SinkQuery& query) {
 void QueryDriver::Scored(const SinkQuery& query,
                          const WorkloadQueryRecord& record,
                          std::span<const KnnCandidate> answer) {
+  // Scoring is the harness's bookkeeping, not protocol work: a protocol
+  // that completes a query from inside a frame delivery (KPT, Peer-tree)
+  // must not charge the oracle and the record copies to the packet plane.
+  AllocScopePause scoring;
   records_.push_back(record);
   const auto truth = truth_pre_.extract(query.id);
   if (truth.empty() || truth.mapped().empty()) return;

@@ -4,9 +4,15 @@
 
 #include "workload/query_driver.h"
 
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
+#include "core/alloc_probe.h"
 #include "harness/experiment.h"
+#include "knn/query.h"
+#include "net/network.h"
 
 namespace diknn {
 namespace {
@@ -173,6 +179,69 @@ TEST(QueryDriverTest, RecordsCarryQueueWaitUnderAdmissionPressure) {
     }
   }
   EXPECT_TRUE(saw_queue_wait);
+}
+
+// Answers each query with the true KNN 10 ms after issue, completing it
+// from inside an armed AllocScope, as KPT and Peer-tree complete theirs
+// from a frame delivery. The answer is built before the scope is armed,
+// so everything the scope counts was allocated on the completion path.
+class ScopedCompletionProtocol : public KnnProtocol {
+ public:
+  explicit ScopedCompletionProtocol(Network* network) : network_(network) {}
+
+  void Install() override {}
+  void IssueQuery(NodeId /*sink*/, Point q, int k,
+                  ResultHandler handler) override {
+    Simulator& sim = network_->sim();
+    KnnResult result;
+    result.issued_at = sim.Now();
+    result.completed_at = sim.Now() + 0.01;
+    for (NodeId id : network_->TrueKnn(q, k)) {
+      result.candidates.push_back(
+          KnnCandidate{id, network_->node(id)->Position()});
+    }
+    ++pending_;
+    sim.ScheduleAfter(0.01, [this, result = std::move(result),
+                             handler = std::move(handler)] {
+      --pending_;
+      AllocScope scope(&completion_allocs_);
+      handler(result);
+    });
+  }
+  std::string name() const override { return "ScopedCompletion"; }
+  size_t pending_queries() const override { return pending_; }
+
+  const AllocCounters& completion_allocs() const {
+    return completion_allocs_;
+  }
+
+ private:
+  Network* network_;
+  size_t pending_ = 0;
+  AllocCounters completion_allocs_;
+};
+
+TEST(QueryDriverTest, ScoringAllocatesOutsideTheCompletingScope) {
+  NetworkConfig config;
+  config.node_count = 60;
+  config.field = Rect::Field(80, 80);
+  config.seed = 3;
+  Network network(config);
+  ScopedCompletionProtocol protocol(&network);
+  QueryDriver driver(&network, /*gpsr=*/nullptr, &protocol,
+                     MustParse("arrival@kind=fixed,rate=2;k@lo=5"),
+                     /*seed=*/7, /*sink=*/0);
+  const SloReport report = driver.Run(/*duration=*/5.0, /*drain=*/1.0);
+  EXPECT_EQ(report.completed, report.issued);
+  ASSERT_GT(report.issued, 0u);
+  // Every query was scored against the oracle ...
+  for (const WorkloadQueryRecord& r : driver.records()) {
+    EXPECT_EQ(r.pre_accuracy, 1.0);
+    EXPECT_GE(r.post_accuracy, 0.0);
+  }
+  // ... and none of that work was charged to the protocol's scope.
+  EXPECT_EQ(protocol.completion_allocs().allocations, 0u);
+  EXPECT_EQ(protocol.completion_allocs().bytes, 0u);
 }
 
 }  // namespace

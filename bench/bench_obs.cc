@@ -138,7 +138,7 @@ int main() {
     for (int s = 0; s < kNumStages; ++s) {
       ExperimentConfig config = base;
       config.trace_sample = kStages[s].rate;
-      config.ts_interval = kStages[s].ts_interval;
+      config.ts.interval = kStages[s].ts_interval;
       TraceData trace;
       const auto start = std::chrono::steady_clock::now();
       const RunMetrics m = RunOnce(config, 42, nullptr, &trace);

@@ -204,15 +204,6 @@ void PublishObsMetrics(Network& net, const GpsrRouting& gpsr,
   metrics->obs = reg.Snapshot();
 }
 
-TimeSeriesOptions ResolveTsOptions(const ExperimentConfig& config) {
-  TimeSeriesOptions opts;
-  opts.interval = config.ts_interval;
-  if (config.ts_capacity > 0) {
-    opts.capacity = static_cast<size_t>(config.ts_capacity);
-  }
-  return opts;
-}
-
 // Channel / MAC series: per-interval frame rate, airtime share of the
 // medium, collision and loss rates. The probe only reads ChannelStats /
 // MacStats, and the deltas are integer counters (airtime is a sum of
@@ -279,7 +270,7 @@ RunMetrics RunWindowed(const ExperimentConfig& config, uint64_t seed) {
   pc.mac = net.mac;
   pc.shards = config.shards;
   pc.seed = seed;
-  pc.ts = ResolveTsOptions(config);
+  pc.ts = config.ts;
   // The sink mirrors the serial harness' static sink (node 0). Arrivals
   // cover the measured interval; the drain tail lets in-flight replies
   // land before the horizon times the rest out.
@@ -350,10 +341,9 @@ RunMetrics RunOnce(const ExperimentConfig& config, uint64_t seed,
   // warmup so warmup traffic never enters the series, and the tick events
   // read state without writing any, so a recorded run carries the exact
   // same traffic as an unrecorded one.
-  const TimeSeriesOptions ts_options = ResolveTsOptions(config);
   std::unique_ptr<FlightRecorder> recorder;
-  if (ts_options.enabled()) {
-    recorder = std::make_unique<FlightRecorder>(ts_options);
+  if (config.ts.enabled()) {
+    recorder = std::make_unique<FlightRecorder>(config.ts);
     InstallNetProbes(recorder.get(), &net);
     if (injector != nullptr) {
       FlightRecorder* rec = recorder.get();

@@ -21,6 +21,7 @@
 #include "harness/metrics.h"
 #include "knn/diknn.h"
 #include "net/network.h"
+#include "obs/timeseries.h"
 #include "workload/query_sink.h"
 #include "workload/workload_spec.h"
 
@@ -104,13 +105,11 @@ struct ExperimentConfig {
   /// check. Tracing never perturbs the simulation — a traced run's
   /// metrics are bit-identical to an untraced one.
   double trace_sample = 0.0;
-  /// Flight-recorder cadence (sim-seconds between samples); 0 (the
-  /// default) records nothing and the hot paths see no recorder at all.
+  /// Flight-recorder cadence and ring depth; the default interval 0
+  /// records nothing and the hot paths see no recorder at all.
   /// Recording never perturbs the simulation either — see
   /// docs/OBSERVABILITY.md "Time series & flight recorder".
-  double ts_interval = 0.0;
-  /// Ring depth per series; 0 = TimeSeriesOptions::kDefaultCapacity.
-  int ts_capacity = 0;
+  TimeSeriesOptions ts;
   DiknnParams diknn;
   KptParams kpt;
   PeerTreeParams peertree;

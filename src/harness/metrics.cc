@@ -25,34 +25,20 @@ Summary Summarize(const std::vector<double>& values) {
   return s;
 }
 
-namespace {
-
-/// Percentile of an already-sorted sample (linear interpolation between
-/// order statistics).
-double SortedPercentile(const std::vector<double>& sorted, double p) {
-  const double rank =
-      std::clamp(p, 0.0, 100.0) / 100.0 * (sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - lo;
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-}  // namespace
-
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  return SortedPercentile(values, p);
-}
-
 std::vector<double> Percentiles(std::vector<double> values,
                                 const std::vector<double>& ps) {
   if (values.empty()) return std::vector<double>(ps.size(), 0.0);
   std::sort(values.begin(), values.end());
   std::vector<double> out;
   out.reserve(ps.size());
-  for (double p : ps) out.push_back(SortedPercentile(values, p));
+  for (double p : ps) {
+    const double rank =
+        std::clamp(p, 0.0, 100.0) / 100.0 * (values.size() - 1);
+    const size_t lo = static_cast<size_t>(rank);
+    const size_t hi = std::min(lo + 1, values.size() - 1);
+    const double frac = rank - lo;
+    out.push_back(values[lo] * (1.0 - frac) + values[hi] * frac);
+  }
   return out;
 }
 

@@ -78,14 +78,9 @@ struct Summary {
 /// Computes a Summary over `values` (all zeros when empty).
 Summary Summarize(const std::vector<double>& values);
 
-/// The p-th percentile (0 <= p <= 100) by linear interpolation between
-/// order statistics; 0 when `values` is empty.
-double Percentile(std::vector<double> values, double p);
-
-/// Several percentiles from one sample, sorting it exactly once (the
-/// single-p overload copies and sorts per call — fine for one quantile,
-/// quadratic waste when a report wants p50/p95/p99/... of the same data).
-/// Returns one value per entry of `ps`, in order; all zeros when empty.
+/// The p-th percentiles (0 <= p <= 100, clamped) of one sample by linear
+/// interpolation between order statistics, sorting it once. Returns one
+/// value per entry of `ps`, in order; all zeros when `values` is empty.
 std::vector<double> Percentiles(std::vector<double> values,
                                 const std::vector<double>& ps);
 

@@ -60,7 +60,7 @@
 //                                        continuous subscription
 //
 // A spec describes queries only: tracing and the flight recorder are run
-// settings (ExperimentConfig::trace_sample, ts_interval, ts_capacity).
+// settings (ExperimentConfig::trace_sample and ts).
 //
 // Example — 8 q/s Poisson, 80/20 point-KNN/window, k in [20,60], hotspot
 // arrivals, a 2 s deadline and at most 64 in flight:

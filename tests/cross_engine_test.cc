@@ -187,7 +187,7 @@ TEST(CrossEngineTest, OneSpecReportsTheSameNamesOnBothEngines) {
     config.network.field = Rect::Field(90, 90);
     config.duration = 6.0;
     config.drain = 1.0;
-    config.ts_interval = 1.0;
+    config.ts.interval = 1.0;
     config.workload = MustParse(
         served ? "arrival@kind=poisson,rate=6;k@lo=5;"
                  "space@kind=hotspot,n=2,sigma=5;cache@ttl=8,cells=3;"

@@ -30,45 +30,39 @@ TEST(SummarizeTest, KnownStatistics) {
   EXPECT_DOUBLE_EQ(s.max, 9.0);
 }
 
-TEST(PercentileTest, EmptyIsZero) {
-  EXPECT_DOUBLE_EQ(Percentile({}, 50.0), 0.0);
-}
-
-TEST(PercentileTest, SingleValue) {
-  EXPECT_DOUBLE_EQ(Percentile({7.0}, 0.0), 7.0);
-  EXPECT_DOUBLE_EQ(Percentile({7.0}, 100.0), 7.0);
-}
-
-TEST(PercentileTest, InterpolatesBetweenOrderStatistics) {
-  const std::vector<double> v{1.0, 2.0, 3.0, 4.0, 5.0};
-  EXPECT_DOUBLE_EQ(Percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 50.0), 3.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 100.0), 5.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 25.0), 2.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 90.0), 4.6);
-}
-
-TEST(PercentileTest, UnsortedInputHandled) {
-  EXPECT_DOUBLE_EQ(Percentile({5.0, 1.0, 3.0}, 50.0), 3.0);
-}
-
-TEST(PercentileTest, ClampsOutOfRangeP) {
-  const std::vector<double> v{1.0, 2.0};
-  EXPECT_DOUBLE_EQ(Percentile(v, -5.0), 1.0);
-  EXPECT_DOUBLE_EQ(Percentile(v, 200.0), 2.0);
-}
-
-TEST(PercentileTest, BatchOverloadMatchesPerCallResults) {
-  const std::vector<double> v{9.0, 1.0, 5.0, 3.0, 7.0, 2.0, 8.0};
-  const std::vector<double> ps{0.0, 25.0, 50.0, 90.0, 99.0, 100.0};
-  // One sort for the whole batch, same answers as sorting per call.
-  const std::vector<double> batch = Percentiles(v, ps);
-  ASSERT_EQ(batch.size(), ps.size());
-  for (size_t i = 0; i < ps.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], Percentile(v, ps[i])) << ps[i];
+// Percentiles(values, ps) element by element against `want`.
+void ExpectPercentiles(const std::vector<double>& values,
+                       const std::vector<double>& ps,
+                       const std::vector<double>& want) {
+  const std::vector<double> got = Percentiles(values, ps);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_DOUBLE_EQ(got[i], want[i]) << "p" << ps[i];
   }
-  EXPECT_TRUE(Percentiles({}, {50.0, 99.0}) ==
-              (std::vector<double>{0.0, 0.0}));
+}
+
+TEST(PercentilesTest, EmptyIsZero) {
+  ExpectPercentiles({}, {50.0, 99.0}, {0.0, 0.0});
+}
+
+TEST(PercentilesTest, SingleValue) {
+  ExpectPercentiles({7.0}, {0.0, 100.0}, {7.0, 7.0});
+}
+
+TEST(PercentilesTest, InterpolatesBetweenOrderStatistics) {
+  ExpectPercentiles({1.0, 2.0, 3.0, 4.0, 5.0},
+                    {0.0, 50.0, 100.0, 25.0, 90.0},
+                    {1.0, 3.0, 5.0, 2.0, 4.6});
+}
+
+TEST(PercentilesTest, UnsortedInputHandled) {
+  // One sort serves every p, answered in the order asked.
+  ExpectPercentiles({9.0, 1.0, 5.0, 3.0, 7.0, 2.0, 8.0},
+                    {100.0, 0.0, 50.0, 25.0}, {9.0, 1.0, 5.0, 2.5});
+}
+
+TEST(PercentilesTest, ClampsOutOfRangeP) {
+  ExpectPercentiles({1.0, 2.0}, {-5.0, 200.0}, {1.0, 2.0});
 }
 
 // A run whose SloReport saw `timed_out` of its `issued` queries time out

@@ -162,7 +162,7 @@ ExperimentConfig RecordedConfig() {
   config.duration = 8.0;
   config.drain = 2.0;
   config.runs = 2;
-  config.ts_interval = 0.5;
+  config.ts.interval = 0.5;
   std::string error;
   config.workload = WorkloadSpec::Parse(
       "arrival@kind=poisson,rate=6;k@lo=4,hi=8;deadline@s=2;"
@@ -218,7 +218,7 @@ TEST(FlightRecorderTest, RecordingDoesNotPerturbTraffic) {
   ExperimentConfig config = RecordedConfig();
   config.runs = 1;
   const std::vector<RunMetrics> recorded = RunExperimentRuns(config);
-  config.ts_interval = 0.0;
+  config.ts.interval = 0.0;
   const std::vector<RunMetrics> plain = RunExperimentRuns(config);
   ASSERT_EQ(recorded.size(), 1u);
   ASSERT_EQ(plain.size(), 1u);
@@ -237,8 +237,7 @@ TEST(FlightRecorderTest, TsSettingsSetTheRecordingOptions) {
   ASSERT_TRUE(spec.has_value()) << error;
   ExperimentConfig config;
   config.workload = *spec;
-  config.ts_interval = 1.0;
-  config.ts_capacity = 8;
+  config.ts = TimeSeriesOptions{1.0, 8};
   config.network.node_count = 40;
   config.duration = 2.0;
   config.drain = 0.5;

@@ -336,10 +336,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics-out") {
       metrics_out_path = next_value();
     } else if (arg == "--ts-interval") {
-      config.ts_interval =
+      config.ts.interval =
           RealFlag(arg, next_value(), 0.0, kNoLimit, "a number >= 0");
     } else if (arg == "--ts-capacity") {
-      config.ts_capacity = IntFlag(arg, next_value(), 0);
+      config.ts.capacity = static_cast<size_t>(IntFlag(arg, next_value(), 0));
     } else if (arg == "--ts-out") {
       ts_out_path = next_value();
     } else {

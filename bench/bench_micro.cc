@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the library's hot paths:
-// KNNB estimation, itinerary geometry, Gabriel planarization, R-tree
-// operations, the discrete-event queue, flat-map churn, the frame pool,
-// and ground-truth KNN scans.
+// KNNB estimation, itinerary geometry, Gabriel planarization, the
+// discrete-event queue, flat-map churn, the frame pool, and ground-truth
+// KNN scans.
 //
 // Before the benchmark loop runs, main() executes the steady-state
 // allocation gate: two identically-seeded DIKNN simulations whose
@@ -23,7 +23,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "baselines/rtree.h"
 #include "core/flat_map.h"
 #include "core/rng.h"
 #include "harness/experiment.h"
@@ -97,38 +96,6 @@ void BM_GabrielNeighbors(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GabrielNeighbors)->Arg(10)->Arg(20)->Arg(40);
-
-void BM_RTreeInsert(benchmark::State& state) {
-  Rng rng(7);
-  for (auto _ : state) {
-    state.PauseTiming();
-    RTree tree(8);
-    std::vector<Point> pts;
-    for (int i = 0; i < state.range(0); ++i) {
-      pts.push_back(rng.PointInRect({{0, 0}, {1000, 1000}}));
-    }
-    state.ResumeTiming();
-    for (int i = 0; i < state.range(0); ++i) {
-      tree.Insert(i, pts[i]);
-    }
-    benchmark::DoNotOptimize(tree.Size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RTreeInsert)->Arg(100)->Arg(1000);
-
-void BM_RTreeKnn(benchmark::State& state) {
-  Rng rng(8);
-  RTree tree(8);
-  for (int i = 0; i < 5000; ++i) {
-    tree.Insert(i, rng.PointInRect({{0, 0}, {1000, 1000}}));
-  }
-  for (auto _ : state) {
-    const Point q = rng.PointInRect({{0, 0}, {1000, 1000}});
-    benchmark::DoNotOptimize(tree.Knn(q, static_cast<int>(state.range(0))));
-  }
-}
-BENCHMARK(BM_RTreeKnn)->Arg(1)->Arg(10)->Arg(100);
 
 void BM_EventQueueThroughput(benchmark::State& state) {
   for (auto _ : state) {

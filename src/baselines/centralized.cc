@@ -25,8 +25,7 @@ CentralizedIndex::CentralizedIndex(Network* network, GpsrRouting* gpsr,
     : network_(network),
       gpsr_(gpsr),
       params_(params),
-      ledger_(&network->sim()),
-      index_(params.rtree_fanout) {}
+      ledger_(&network->sim()) {}
 
 void CentralizedIndex::Install() {
   gpsr_->RegisterDelivery(
@@ -97,28 +96,17 @@ void CentralizedIndex::Install() {
 void CentralizedIndex::OnUpdate(Node* node, const UpdateMessage& msg) {
   if (node->id() != params_.center) return;  // Stranded update.
   ++stats_.updates_received;
-  auto [it, inserted] = records_.try_emplace(msg.node);
-  if (!inserted) {
-    index_.Remove(msg.node, it->second.position);
-  }
-  it->second =
-      Record{msg.position, msg.speed, network_->sim().Now()};
-  index_.Insert(msg.node, msg.position);
+  KnnCandidate& record = records_[msg.node];
+  record.id = msg.node;
+  record.position = msg.position;
+  record.speed = msg.speed;
+  record.sampled_at = network_->sim().Now();
 }
 
 KnnResult CentralizedIndex::AnswerLocally(const KnnQuery& query) {
   KnnResult result;
   result.query_id = query.id;
-  for (int64_t id : index_.Knn(query.q, query.k)) {
-    const auto it = records_.find(static_cast<NodeId>(id));
-    if (it == records_.end()) continue;
-    KnnCandidate c;
-    c.id = static_cast<NodeId>(id);
-    c.position = it->second.position;
-    c.speed = it->second.speed;
-    c.sampled_at = it->second.received_at;
-    result.candidates.push_back(c);
-  }
+  result.candidates = NearestRecords(records_, query.q, query.k);
   return result;
 }
 

@@ -3,9 +3,11 @@
 // "The centralized approach performs the queries in a centralized
 // database containing locations of all the sensor nodes ... usually
 // maintained in an R-tree variant index." Every node streams periodic
-// location updates (multi-hop) to a central station, which maintains an
-// R-tree over the latest known positions; KNN queries are answered at the
-// station from the index alone.
+// location updates (multi-hop) to a central station, which keeps the
+// latest report of each node in a table keyed by node id; KNN queries are
+// answered at the station from that table alone, by ranking it
+// (NearestRecords). The index structure is not simulated: a lookup costs
+// the constant processing_delay whatever structure serves it.
 //
 // Its failure modes are exactly what motivates in-network processing:
 // the update stream's energy cost scales with n and with the desired
@@ -19,7 +21,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "baselines/rtree.h"
 #include "knn/query.h"
 #include "knn/query_ledger.h"
 #include "net/network.h"
@@ -38,7 +39,6 @@ struct CentralizedParams {
   SimTime query_timeout = 8.0;
   /// Local processing delay at the station per query (index lookup etc.).
   SimTime processing_delay = 0.005;
-  int rtree_fanout = 8;
 };
 
 /// Behaviour counters.
@@ -50,7 +50,7 @@ struct CentralizedStats {
   uint64_t updates_received = 0;
 };
 
-/// The centralized R-tree baseline.
+/// The centralized-index baseline.
 class CentralizedIndex : public KnnProtocol {
  public:
   CentralizedIndex(Network* network, GpsrRouting* gpsr,
@@ -73,12 +73,6 @@ class CentralizedIndex : public KnnProtocol {
     double speed = 0.0;
   };
 
-  struct Record {
-    Point position;
-    double speed = 0.0;
-    SimTime received_at = 0;
-  };
-
   using Ledger = QueryLedger<KnnResult>;
 
   void OnUpdate(Node* node, const UpdateMessage& msg);
@@ -95,8 +89,9 @@ class CentralizedIndex : public KnnProtocol {
 
   /// Queries of remote sinks; the station answers its own locally.
   Ledger ledger_;
-  RTree index_;
-  std::unordered_map<NodeId, Record> records_;
+  /// Each node's latest update; sampled_at is when the station received
+  /// it.
+  std::unordered_map<NodeId, KnnCandidate> records_;
 };
 
 }  // namespace diknn

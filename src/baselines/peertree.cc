@@ -57,7 +57,6 @@ PeerTree::PeerTree(Network* network, GpsrRouting* gpsr,
       cell.rect = Rect{{field.min.x + col * cw, field.min.y + row * ch},
                        {field.min.x + (col + 1) * cw,
                         field.min.y + (row + 1) * ch}};
-      cell.members = RTree(params_.rtree_fanout);
     }
   }
   root_cell_ = (dim / 2) * dim + dim / 2;  // Center cell acts as root.
@@ -164,22 +163,17 @@ void PeerTree::StartRegistrationLoops() {
 }
 
 void PeerTree::OnRegister(int cell, const RegisterMessage& msg) {
-  Cell& c = cells_[cell];
-  auto it = c.records.find(msg.node);
-  if (it != c.records.end()) {
-    c.members.Remove(msg.node, it->second.position);
-  }
-  c.records[msg.node] =
-      MemberRecord{msg.position, network_->sim().Now()};
-  c.members.Insert(msg.node, msg.position);
+  KnnCandidate& record = cells_[cell].records[msg.node];
+  record.id = msg.node;
+  record.position = msg.position;
+  record.sampled_at = network_->sim().Now();
 }
 
 void PeerTree::EvictStale(int cell) {
   Cell& c = cells_[cell];
   const SimTime now = network_->sim().Now();
   for (auto it = c.records.begin(); it != c.records.end();) {
-    if (now - it->second.last_heard > params_.member_timeout) {
-      c.members.Remove(it->first, it->second.position);
+    if (now - it->second.sampled_at > params_.member_timeout) {
       it = c.records.erase(it);
       ++stats_.evictions;
     } else {
@@ -244,16 +238,7 @@ void PeerTree::Coordinate(int cell, const KnnQuery& query) {
 
   // Seed with the coordinator's own records.
   const Cell& c = cells_[cell];
-  for (int64_t id : c.members.Knn(query.q, query.k)) {
-    auto it = c.records.find(static_cast<NodeId>(id));
-    if (it == c.records.end()) continue;
-    KnnCandidate cand;
-    cand.id = static_cast<NodeId>(id);
-    cand.position = it->second.position;
-    cand.sampled_at = it->second.last_heard;
-    coord.candidates.push_back(cand);
-  }
-  PruneCandidates(&coord.candidates, query.q, query.k);
+  coord.candidates = NearestRecords(c.records, query.q, query.k);
 
   // Other cells ordered by how close they could possibly hold records,
   // bounded by a density estimate from the coordinator's own records:
@@ -340,20 +325,11 @@ void PeerTree::ContinueCoordination(uint64_t query_id) {
 void PeerTree::OnProbe(Node* node, const ProbeMessage& msg) {
   if (!node->is_infrastructure()) return;
   const int cell = CellOf(node->Position());
-  const Cell& c = cells_[cell];
 
   auto reply = std::make_shared<ProbeReply>();
   reply->query_id = msg.query_id;
   reply->cell = cell;
-  for (int64_t id : c.members.Knn(msg.q, msg.k)) {
-    auto it = c.records.find(static_cast<NodeId>(id));
-    if (it == c.records.end()) continue;
-    KnnCandidate cand;
-    cand.id = static_cast<NodeId>(id);
-    cand.position = it->second.position;
-    cand.sampled_at = it->second.last_heard;
-    reply->records.push_back(cand);
-  }
+  reply->records = NearestRecords(cells_[cell].records, msg.q, msg.k);
   const size_t bytes = 6 + reply->records.size() * kCandidateBytes;
   gpsr_->Send(node, msg.coordinator_position, MessageType::kPeerReply,
               std::move(reply), bytes, EnergyCategory::kQuery, false,

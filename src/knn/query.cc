@@ -5,6 +5,22 @@
 
 namespace diknn {
 
+namespace {
+
+// The rank order of every KNN answer: nearer to `q` first, ties to the
+// lower id.
+struct NearerTo {
+  Point q;
+  bool operator()(const KnnCandidate& a, const KnnCandidate& b) const {
+    const double da = SquaredDistance(a.position, q);
+    const double db = SquaredDistance(b.position, q);
+    if (da != db) return da < db;
+    return a.id < b.id;
+  }
+};
+
+}  // namespace
+
 std::vector<NodeId> KnnResult::CandidateIds() const {
   std::vector<NodeId> ids;
   ids.reserve(candidates.size());
@@ -32,14 +48,20 @@ void PruneCandidates(std::vector<KnnCandidate>* candidates, const Point& q,
   }
   c.resize(unique);
 
-  std::sort(candidates->begin(), candidates->end(),
-            [&q](const KnnCandidate& a, const KnnCandidate& b) {
-              const double da = SquaredDistance(a.position, q);
-              const double db = SquaredDistance(b.position, q);
-              if (da != db) return da < db;
-              return a.id < b.id;
-            });
+  std::sort(candidates->begin(), candidates->end(), NearerTo{q});
   if (candidates->size() > count) candidates->resize(count);
+}
+
+std::vector<KnnCandidate> NearestRecords(
+    const std::unordered_map<NodeId, KnnCandidate>& table, const Point& q,
+    size_t count) {
+  std::vector<KnnCandidate> out;
+  out.reserve(table.size());
+  for (const auto& [id, record] : table) out.push_back(record);
+  const auto keep = out.begin() + std::min(count, out.size());
+  std::partial_sort(out.begin(), keep, out.end(), NearerTo{q});
+  out.erase(keep, out.end());
+  return out;
 }
 
 double Accuracy(const std::vector<NodeId>& returned,

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/alloc_probe.h"
@@ -87,6 +88,14 @@ class KnnProtocol {
 /// first, deduplicating by node id (keeping the freshest report).
 void PruneCandidates(std::vector<KnnCandidate>* candidates, const Point& q,
                      size_t count);
+
+/// The `count` records of `table` nearest to `q`, in PruneCandidates'
+/// order (distance to `q`, then id). A table holds one record per id, so
+/// there is no dedup pass: this is how a Peer-tree clusterhead and the
+/// Centralized station answer a KNN lookup.
+std::vector<KnnCandidate> NearestRecords(
+    const std::unordered_map<NodeId, KnnCandidate>& table, const Point& q,
+    size_t count);
 
 /// Accuracy of a returned id set against the ground truth: the fraction
 /// of true KNNs present in `returned` (the paper's query accuracy, scored

@@ -1,9 +1,10 @@
 // Greedy geographic next-hop selection, shared between the serial GPSR
 // router (src/routing/gpsr.cc) and the parallel query plane
 // (src/psim/query_plane.cc). Both planes must pick hops by the same rule
-// — strictly closer to the destination, best progress, previous hop
-// excluded — so the forwarding behaviour a test observes does not depend
-// on which engine carried the packet.
+// — strictly closer to the destination, best progress, ties to the lower
+// id, previous hop excluded — so the forwarding behaviour a test observes
+// depends neither on which engine carried the packet nor on the order of
+// its neighbor table.
 
 #ifndef DIKNN_ROUTING_GREEDY_H_
 #define DIKNN_ROUTING_GREEDY_H_
@@ -17,7 +18,8 @@
 namespace diknn {
 
 /// Picks the entry of `neighbors` strictly closer to `dest` than
-/// `self_distance`, minimizing the remaining distance. `prev_hop` is
+/// `self_distance`, minimizing the remaining distance; of two equally
+/// close entries the lower id wins. `prev_hop` is
 /// excluded: with beacon-stale positions the previous hop can look closer
 /// than it is and cause A<->B ping-pong until the TTL burns out. Returns
 /// nullptr at a local minimum (no strictly closer neighbor).
@@ -29,7 +31,7 @@ inline const NeighborEntry* GreedyNextHop(
   for (const NeighborEntry& n : neighbors) {
     if (n.id == prev_hop) continue;
     const double d = Distance(n.position, dest);
-    if (d < best_d) {
+    if (d < best_d || (best != nullptr && d == best_d && n.id < best->id)) {
       best_d = d;
       best = &n;
     }
@@ -49,7 +51,7 @@ inline bool GreedyNextHopFrom(const NeighborTable& table, const Point& self,
   table.ForEachFresh(now, [&](const NeighborEntry& n) {
     if (n.id == prev_hop) return;
     const double d = Distance(n.position, dest);
-    if (d < best_d) {
+    if (d < best_d || (found && d == best_d && n.id < out->id)) {
       best_d = d;
       *out = n;
       found = true;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "routing/greedy.h"
+
 namespace diknn {
 namespace {
 
@@ -18,6 +23,31 @@ NetworkConfig StaticGrid(int count, double side) {
   config.placement = PlacementKind::kGrid;
   config.seed = 3;
   return config;
+}
+
+// Two neighbours exactly as far from the destination: the lower id is
+// the next hop whichever of them the table lists first, so a route never
+// depends on table order.
+TEST(GreedyNextHopTest, EqualDistanceTiesGoToLowerId) {
+  const Point self{0, 0};
+  const Point dest{10, 0};
+  for (const bool lower_first : {false, true}) {
+    std::vector<NeighborEntry> entries = {{7, {10, 5}, 0.0},
+                                          {4, {10, -5}, 0.0}};
+    if (lower_first) std::swap(entries[0], entries[1]);
+
+    const NeighborEntry* hop =
+        GreedyNextHop(entries, dest, Distance(self, dest), kInvalidNodeId);
+    ASSERT_NE(hop, nullptr);
+    EXPECT_EQ(hop->id, 4) << "lower id listed first: " << lower_first;
+
+    NeighborTable table;
+    for (const NeighborEntry& e : entries) table.Update(e.id, e.position, 0.0);
+    NeighborEntry out;
+    ASSERT_TRUE(
+        GreedyNextHopFrom(table, self, dest, kInvalidNodeId, 0.0, &out));
+    EXPECT_EQ(out.id, 4) << "lower id listed first: " << lower_first;
+  }
 }
 
 class GpsrTest : public ::testing::Test {

@@ -18,7 +18,8 @@
 # metrics must report zero steady-state packet-plane allocations
 # (net.allocs == 0, net.alloc_per_frame == 0; see docs/PACKET_PLANE.md),
 # the same allocation gate on a dup@ fault-plan run, which must also drop
-# re-aired copies (mac.duplicates_dropped > 0), a frame-log smoke of
+# re-aired copies (mac.duplicates_dropped > 0), and on a short run of each
+# baseline (KPT, Peer-tree, flooding, Centralized), a frame-log smoke of
 # `diknn-sim --trace` (a --workload run's log must equal a --k run's at
 # the spec's k@lo), a check that the default run is the paper's Section
 # 5.1 spec, a CLI validation check, and the repo benchmark's smoke mode
@@ -132,6 +133,27 @@ print(f"faulted smoke: net.allocs == 0, mac.duplicates_dropped = {dropped}")
 PY
 else
   echo "python3 not found; skipping faulted-smoke validation"
+fi
+
+echo "== baseline allocation gate =="
+# A baseline's handlers run outside the packet plane's net scope (as
+# DIKNN's do), so a short run of each must leave net.allocs at 0 too.
+for protocol in kpt peertree flooding centralized; do
+  ./build/tools/diknn-sim --protocol "$protocol" --runs 1 --duration 20 \
+    --metrics-out "$obs_dir/alloc_$protocol.json" >/dev/null
+done
+if command -v python3 >/dev/null; then
+  python3 - "$obs_dir" <<'PY'
+import json, sys
+for protocol in ("kpt", "peertree", "flooding", "centralized"):
+    with open(f"{sys.argv[1]}/alloc_{protocol}.json") as f:
+        allocs = json.load(f)["counters"].get("net.allocs")
+    if allocs != 0:
+        raise SystemExit(f"{protocol}: expected net.allocs == 0, got {allocs}")
+print("baselines: net.allocs == 0 for kpt, peertree, flooding, centralized")
+PY
+else
+  echo "python3 not found; skipping baseline allocation gate"
 fi
 
 echo "== frame-log smoke (diknn-sim --trace) =="

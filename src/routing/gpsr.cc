@@ -319,6 +319,9 @@ void GpsrRouting::Deliver(Node* node, const GeoRoutedMessage& msg) {
                      << MessageTypeName(msg.inner_type);
     return;
   }
+  // The delivered payload is the protocol's work, not the packet
+  // plane's: it arms its own allocation scope or none.
+  AllocScopePause protocol_work;
   deliveries_[index](node, msg);
 }
 

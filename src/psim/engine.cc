@@ -111,7 +111,7 @@ PsimEngine::PsimEngine(const PsimConfig& config) : config_(config) {
 void PsimEngine::BuildWorld() {
   const FieldPartition& part = world_->partition;
   const int n = config_.node_count;
-  world_->nodes.resize(static_cast<size_t>(n));
+  world_->nodes.reserve(static_cast<size_t>(n));
   world_->cell_nodes.resize(static_cast<size_t>(part.cell_count()));
 
   // Placement comes from the run seed alone, and each node's CSMA and
@@ -133,21 +133,16 @@ void PsimEngine::BuildWorld() {
 
   Rng placement_rng(config_.seed);
   for (int i = 0; i < n; ++i) {
-    PsimNode& node = world_->nodes[static_cast<size_t>(i)];
     const Point pos = placement_rng.PointInRect(config_.field);
-    node.rng = Rng(PsimShard::NodeSeed(config_.seed,
-                                       static_cast<uint32_t>(i), 0));
-    if (config_.max_speed > 0.0) {
-      node.mobility = std::make_unique<RandomWaypointMobility>(
-          pos, config_.field, config_.max_speed,
-          Rng(PsimShard::NodeSeed(config_.seed, static_cast<uint32_t>(i),
-                                  1)));
-    } else {
-      node.mobility = std::make_unique<StaticMobility>(pos);
-    }
-    node.neighbors = NeighborTable(config_.neighbor_timeout);
+    const uint32_t id = static_cast<uint32_t>(i);
+    PsimNode& node = world_->nodes.emplace_back(PsimNode{
+        .at = pos,
+        .rng = Rng(PsimShard::NodeSeed(config_.seed, id, 0)),
+        .mobility = RandomWaypointMobility(
+            pos, config_.field, config_.max_speed,
+            Rng(PsimShard::NodeSeed(config_.seed, id, 1))),
+        .neighbors = NeighborTable(config_.neighbor_timeout)});
     node.neighbors.Reserve(degree_bound);
-    node.at = pos;
     node.cell = part.CellOf(pos);
     node.next_beacon = node.rng.Uniform(0.0, config_.beacon_interval);
     world_->cell_nodes[static_cast<size_t>(node.cell)].push_back(

@@ -337,8 +337,8 @@ void PsimShard::RouteQueryFrame(const PsimQueryFrame& f) {
 void PsimShard::HandleRequest(const PsimQueryFrame& f, SimTime now) {
   const PsimQuery& q = world_->query.queries[f.query];
   const uint32_t v = f.dest;
-  const PsimNode& node = world_->nodes[v];
-  const Point pos = node.mobility->PositionAt(now);
+  PsimNode& node = world_->nodes[v];
+  const Point pos = node.mobility.PositionAt(now);
   NeighborEntry next;
   if (GreedyNextHopFrom(node.neighbors, pos, q.q, PrevAsNodeId(f.prev),
                         now, &next)) {
@@ -367,7 +367,7 @@ void PsimShard::HandleHomeArrival(uint32_t query, uint32_t v, SimTime now) {
   ++qp.roles[v];  // Home duty: merge state now travels with this node.
   // The home node contributes its own neighborhood before dissemination.
   CollectAt(v, q, now, &q.ncand, &q.cand, &q.found);
-  const Point pos = world_->nodes[v].mobility->PositionAt(now);
+  const Point pos = world_->nodes[v].mobility.PositionAt(now);
   for (int s = 0; s < q.sectors_total; ++s) {
     float progress = 0.0f;
     NeighborEntry next;
@@ -434,7 +434,7 @@ void PsimShard::HandleItinerary(const PsimQueryFrame& f, SimTime now) {
   uint32_t found = 0;
   CollectAt(v, q, now, &g.ncand, &g.cand, &found);
   g.agg += found;
-  const Point pos = world_->nodes[v].mobility->PositionAt(now);
+  const Point pos = world_->nodes[v].mobility.PositionAt(now);
   float progress = g.progress;
   NeighborEntry next;
   if (NextItineraryHop(q, f.sector, v, pos, f.prev, now, &progress,
@@ -514,8 +514,8 @@ void PsimShard::SendToward(PsimQueryFrame* f, uint32_t v,
     SendQueryFrame(f, v, 1);
     return;
   }
-  const PsimNode& node = world_->nodes[v];
-  const Point pos = node.mobility->PositionAt(now);
+  PsimNode& node = world_->nodes[v];
+  const Point pos = node.mobility.PositionAt(now);
   // Target-node short-circuit: a fresh table entry beats geometry.
   if (node.neighbors.Lookup(static_cast<NodeId>(target_node), now)
           .has_value()) {
@@ -545,8 +545,8 @@ void PsimShard::CollectAt(
     uint32_t v, const PsimQuery& q, SimTime now, uint16_t* ncand,
     std::array<QueryCandidate, kMaxQueryCandidates>* cand,
     uint32_t* found) {
-  const PsimNode& node = world_->nodes[v];
-  const Point pos = node.mobility->PositionAt(now);
+  PsimNode& node = world_->nodes[v];
+  const Point pos = node.mobility.PositionAt(now);
   const uint16_t limit = CandLimitOf(q);
   const double r2 =
       static_cast<double>(q.radius) * static_cast<double>(q.radius);
@@ -610,7 +610,7 @@ void PsimShard::ProcessSink(uint64_t k, SimTime now) {
 }
 
 Point PsimShard::SinkPosition(NodeId sink, SimTime now) {
-  return world_->nodes[static_cast<uint32_t>(sink)].mobility->PositionAt(
+  return world_->nodes[static_cast<uint32_t>(sink)].mobility.PositionAt(
       now);
 }
 
@@ -619,7 +619,7 @@ void PsimShard::Launch(const SinkQuery& query) {
   QueryPlaneState& qp = world_->query;
   const SimTime now = query.launched_at;
   const uint32_t sink = qp.config.sink;
-  const PsimNode& snode = world_->nodes[sink];
+  PsimNode& snode = world_->nodes[sink];
   qp.active.push_back(query);
   PsimQueryFrame g{};
   g.kind = QueryFrameKind::kRequest;
@@ -627,7 +627,7 @@ void PsimShard::Launch(const SinkQuery& query) {
   g.prev = kInvalidQueryNode;
   g.hops = 1;
   NeighborEntry next;
-  if (GreedyNextHopFrom(snode.neighbors, snode.mobility->PositionAt(now),
+  if (GreedyNextHopFrom(snode.neighbors, snode.mobility.PositionAt(now),
                         query.q, kInvalidNodeId, now, &next)) {
     g.dest = static_cast<uint32_t>(next.id);
     ++stats_.qp.request_hops;

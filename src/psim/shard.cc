@@ -177,7 +177,7 @@ void PsimShard::ScheduleBackoff(uint32_t i, SimTime now) {
 void PsimShard::CsmaAttempt(uint32_t i, SimTime now) {
   PsimNode& n = world_->nodes[i];
   ++stats_.csma_attempts;
-  const Point pos = n.mobility->PositionAt(now);
+  const Point pos = n.mobility.PositionAt(now);
   if (!SenseBusy(pos, now)) {
     Transmit(i, now, pos);
     return;
@@ -294,7 +294,7 @@ void PsimShard::SweepIfDue(uint64_t k) {
       continue;
     }
     n.neighbors.Expire(now);
-    const Point pos = n.mobility->PositionAt(now);
+    const Point pos = n.mobility.PositionAt(now);
     n.at = pos;
     const int32_t cell = part.CellOf(pos);
     if (cell == n.cell) continue;
@@ -574,7 +574,7 @@ void PsimShard::DeliverTo(const PsimFrame& f, uint32_t r, Reach reach,
   if (reach == Reach::kCheck || exposed()) {
     const double range2 =
         world_->config.radio_range_m * world_->config.radio_range_m;
-    const Point pos = node.mobility->PositionAt(now);
+    const Point pos = node.mobility.PositionAt(now);
     if (SquaredDistance(pos, f.origin) > range2) return;
     collided = std::any_of(interferers_.begin(), interferers_.end(),
                            [&](const PsimFrame* g) {

@@ -115,7 +115,9 @@ struct PsimNode {
   /// Every receiver candidate is judged from it first (DeliverFrame).
   Point at;
   Rng rng{0};            ///< CSMA backoff draws; forked from (seed, id).
-  std::unique_ptr<MobilityModel> mobility;
+  /// Held by value: no per-node heap object. A max speed below
+  /// RandomWaypointMobility::kMinSpeed makes the node static.
+  RandomWaypointMobility mobility;
   NeighborTable neighbors{1.5};
   int32_t cell = -1;     ///< Bucket cell (refreshed at sweep windows).
   uint32_t seq = 0;

@@ -4,7 +4,6 @@
 
 #include "core/alloc_probe.h"
 
-#include <atomic>
 #include <cstdlib>
 #include <new>
 
@@ -13,10 +12,8 @@ namespace alloc_probe {
 namespace {
 
 thread_local AllocCounters* tl_counters = nullptr;
-std::atomic<uint64_t> total_allocations{0};
 
 inline void* CountedAlloc(size_t size, size_t align) {
-  total_allocations.fetch_add(1, std::memory_order_relaxed);
   AllocCounters* c = tl_counters;
   if (c != nullptr) {
     ++c->allocations;
@@ -37,10 +34,6 @@ AllocCounters* Exchange(AllocCounters* counters) {
   AllocCounters* previous = tl_counters;
   tl_counters = counters;
   return previous;
-}
-
-uint64_t TotalAllocations() {
-  return total_allocations.load(std::memory_order_relaxed);
 }
 
 }  // namespace alloc_probe

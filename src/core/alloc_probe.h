@@ -44,11 +44,6 @@ AllocCounters* Current();
 /// for restoration. Prefer the AllocScope RAII below.
 AllocCounters* Exchange(AllocCounters* counters);
 
-/// Process-wide tally of every allocation the replaced operator new saw
-/// on any thread, attributed or not (diagnostics only; approximate under
-/// concurrency — relaxed atomics).
-uint64_t TotalAllocations();
-
 }  // namespace alloc_probe
 
 /// Attributes allocations on this thread to `counters` for the scope's

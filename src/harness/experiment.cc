@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <sstream>
 #include <thread>
 
 #include "faults/fault_injector.h"
@@ -458,19 +457,6 @@ std::vector<RunMetrics> RunExperimentRuns(const ExperimentConfig& config) {
 
 ExperimentMetrics RunExperiment(const ExperimentConfig& config) {
   return AggregateRuns(RunExperimentRuns(config));
-}
-
-std::string FormatRow(const std::string& label,
-                      const ExperimentMetrics& metrics) {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(3);
-  os << label << "  latency=" << metrics.latency.mean << "s"
-     << "  energy=" << metrics.energy.mean << "J"
-     << "  pre_acc=" << metrics.pre_accuracy.mean
-     << "  post_acc=" << metrics.post_accuracy.mean
-     << "  timeout_rate=" << metrics.timeout_rate.mean;
-  return os.str();
 }
 
 }  // namespace diknn

@@ -10,7 +10,6 @@
 
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "baselines/centralized.h"
@@ -155,10 +154,6 @@ std::vector<RunMetrics> RunExperimentRuns(const ExperimentConfig& config);
 
 /// Runs `config.runs` seeded repetitions and aggregates.
 ExperimentMetrics RunExperiment(const ExperimentConfig& config);
-
-/// Formats one experiment row: "<label> lat=.. J=.. pre=.. post=..".
-std::string FormatRow(const std::string& label,
-                      const ExperimentMetrics& metrics);
 
 }  // namespace diknn
 

@@ -86,14 +86,6 @@ void NoteReusableAcquire(bool fresh) {
 
 void NoteReusableRelease() { --Caches().stats.live; }
 
-void TrimThreadCaches() {
-  ThreadCaches& caches = Caches();
-  for (auto& list : caches.free_lists) {
-    for (void* p : list) ::operator delete(p);
-    list.clear();
-  }
-}
-
 }  // namespace packet_pool_detail
 
 }  // namespace diknn

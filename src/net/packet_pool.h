@@ -67,10 +67,6 @@ MessagePoolStats& ThreadStats();
 void NoteReusableAcquire(bool fresh);
 void NoteReusableRelease();
 
-/// Frees every cached block on the calling thread (diagnostics; caches
-/// normally live for the thread's lifetime).
-void TrimThreadCaches();
-
 /// STL allocator over the thread-local block recycler. Single-element
 /// allocations (the shared_ptr control-block path) recycle; array
 /// allocations fall through to the heap.

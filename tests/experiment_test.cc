@@ -121,18 +121,6 @@ TEST(ExperimentTest, RunExperimentAggregates) {
   EXPECT_GT(m.latency.mean, 0.0);
 }
 
-TEST(ExperimentTest, FormatRowIsReadable) {
-  ExperimentMetrics m;
-  m.latency.mean = 1.5;
-  m.energy.mean = 0.42;
-  m.pre_accuracy.mean = 0.87;
-  m.post_accuracy.mean = 0.9;
-  const std::string row = FormatRow("DIKNN k=40", m);
-  EXPECT_NE(row.find("DIKNN k=40"), std::string::npos);
-  EXPECT_NE(row.find("latency=1.500s"), std::string::npos);
-  EXPECT_NE(row.find("energy=0.420J"), std::string::npos);
-}
-
 TEST(ExperimentTest, ProtocolNames) {
   EXPECT_STREQ(ProtocolName(ProtocolKind::kDiknn), "DIKNN");
   EXPECT_STREQ(ProtocolName(ProtocolKind::kKptKnnb), "KPT+KNNB");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "knn/query.h"
 
 namespace diknn {
@@ -62,6 +64,29 @@ TEST(CentralizedTest, LocalQueryIsNearInstant) {
   // congestion (the centralized bottleneck the paper criticizes), so the
   // index never quite reaches 100% coverage even on a static field.
   EXPECT_GE(Accuracy(result.CandidateIds(), rig.net.TrueKnn(q, 10)), 0.7);
+}
+
+TEST(CentralizedTest, StationAnswersItsExactNearestRecords) {
+  // On a static field every record is exact, so once every sensor has
+  // reported, a local query returns the true KNN of the nodes the
+  // station indexes (all but itself), in rank order.
+  NetworkConfig config = DefaultConfig();
+  config.mobility = MobilityKind::kStatic;
+  Rig rig(config);
+  const size_t sensors = rig.net.size() - 1;
+  while (rig.protocol.IndexedNodes() < sensors &&
+         rig.net.sim().Now() < 120.0) {
+    rig.net.sim().RunUntil(rig.net.sim().Now() + 1.0);
+  }
+  ASSERT_EQ(rig.protocol.IndexedNodes(), sensors);
+
+  const int k = 10;
+  for (const Point q : {Point{20, 20}, Point{60, 60}, Point{100, 30}}) {
+    std::vector<NodeId> truth = rig.net.TrueKnn(q, k + 1);
+    std::erase(truth, NodeId{0});  // The station holds no record of itself.
+    truth.resize(k);
+    EXPECT_EQ(rig.RunQuery(0, q, k).CandidateIds(), truth);
+  }
 }
 
 TEST(CentralizedTest, AccuracyLimitedByUpdateStaleness) {

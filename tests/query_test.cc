@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
 namespace diknn {
 namespace {
 
@@ -68,6 +71,29 @@ TEST(PruneCandidatesTest, ZeroCountClears) {
   std::vector<KnnCandidate> cands = {C(1, 1, 1)};
   PruneCandidates(&cands, {0, 0}, 0);
   EXPECT_TRUE(cands.empty());
+}
+
+TEST(NearestRecordsTest, TiesGoToLowerId) {
+  // Three records 3 m from q: the two kept are the two lowest ids.
+  const std::unordered_map<NodeId, KnnCandidate> table = {
+      {9, C(9, 3, 0)}, {4, C(4, 0, 3)}, {6, C(6, -3, 0)}, {2, C(2, 10, 0)}};
+  const std::vector<KnnCandidate> nearest = NearestRecords(table, {0, 0}, 2);
+  ASSERT_EQ(nearest.size(), 2u);
+  EXPECT_EQ(nearest[0].id, 4);
+  EXPECT_EQ(nearest[1].id, 6);
+}
+
+TEST(NearestRecordsTest, CountAboveTableSizeReturnsWholeTableRanked) {
+  const std::unordered_map<NodeId, KnnCandidate> table = {
+      {1, C(1, 10, 0, /*t=*/2.0)}, {2, C(2, 1, 0)}, {3, C(3, 5, 0)}};
+  const std::vector<KnnCandidate> nearest =
+      NearestRecords(table, {0, 0}, 10);
+  ASSERT_EQ(nearest.size(), 3u);
+  EXPECT_EQ(nearest[0].id, 2);
+  EXPECT_EQ(nearest[1].id, 3);
+  EXPECT_EQ(nearest[2].id, 1);
+  EXPECT_DOUBLE_EQ(nearest[2].sampled_at, 2.0);  // Records copy whole.
+  EXPECT_TRUE(NearestRecords({}, {0, 0}, 10).empty());
 }
 
 TEST(AccuracyTest, PerfectMatch) {

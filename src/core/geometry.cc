@@ -100,24 +100,6 @@ bool SegmentsIntersect(const Point& a, const Point& b, const Point& c,
   return false;
 }
 
-Rect Rect::Empty() {
-  constexpr double inf = std::numeric_limits<double>::infinity();
-  return {{inf, inf}, {-inf, -inf}};
-}
-
-Rect Rect::Union(const Rect& o) const {
-  if (IsEmpty()) return o;
-  if (o.IsEmpty()) return *this;
-  return {{std::min(min.x, o.min.x), std::min(min.y, o.min.y)},
-          {std::max(max.x, o.max.x), std::max(max.y, o.max.y)}};
-}
-
-Rect Rect::Expanded(const Point& p) const {
-  if (IsEmpty()) return {p, p};
-  return {{std::min(min.x, p.x), std::min(min.y, p.y)},
-          {std::max(max.x, p.x), std::max(max.y, p.y)}};
-}
-
 double Rect::MinDistance(const Point& p) const {
   if (IsEmpty()) return std::numeric_limits<double>::infinity();
   const double dx = std::max({min.x - p.x, 0.0, p.x - max.x});

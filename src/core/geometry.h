@@ -100,9 +100,6 @@ struct Rect {
   Point min;  ///< Lower-left corner.
   Point max;  ///< Upper-right corner.
 
-  /// An empty rectangle: union with it yields the other operand.
-  static Rect Empty();
-
   /// The rectangle spanning [0,w] x [0,h].
   static Rect Field(double w, double h) { return {{0.0, 0.0}, {w, h}}; }
 
@@ -112,25 +109,9 @@ struct Rect {
   double Area() const { return IsEmpty() ? 0.0 : Width() * Height(); }
   Point Center() const { return {(min.x + max.x) / 2, (min.y + max.y) / 2}; }
 
-  /// Half the perimeter; the classic R-tree enlargement cost metric.
-  double Margin() const { return IsEmpty() ? 0.0 : Width() + Height(); }
-
   bool Contains(const Point& p) const {
     return p.x >= min.x && p.x <= max.x && p.y >= min.y && p.y <= max.y;
   }
-  bool Contains(const Rect& o) const {
-    return !o.IsEmpty() && Contains(o.min) && Contains(o.max);
-  }
-  bool Intersects(const Rect& o) const {
-    return !IsEmpty() && !o.IsEmpty() && min.x <= o.max.x &&
-           max.x >= o.min.x && min.y <= o.max.y && max.y >= o.min.y;
-  }
-
-  /// Smallest rectangle containing both operands.
-  Rect Union(const Rect& o) const;
-
-  /// Smallest rectangle containing this one and `p`.
-  Rect Expanded(const Point& p) const;
 
   /// Minimum Euclidean distance from `p` to this rectangle (0 if inside).
   double MinDistance(const Point& p) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/alloc_probe.h"
 #include "knn/knnb.h"
 
 namespace diknn {
@@ -30,9 +31,13 @@ void Flooding::Install() {
       [this](Node* node, const GeoRoutedMessage& msg) {
         OnReply(node, *static_cast<const ReplyMessage*>(msg.inner.get()));
       });
+  // A frame handler runs inside the channel's net scope, but flooding's
+  // work is not the packet plane's (GpsrRouting::Deliver pauses the
+  // deliveries above the same way).
   for (Node* node : network_->AllNodes()) {
     node->RegisterHandler(
         MessageType::kFloodQuery, [this, node](const Packet& p) {
+          AllocScopePause protocol_work;
           OnFlood(node, *static_cast<const FloodMessage*>(p.payload.get()));
         });
   }

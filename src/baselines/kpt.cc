@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/alloc_probe.h"
 #include "core/logging.h"
 #include "knn/knnb.h"
 
@@ -42,13 +43,18 @@ void KptKnnb::Install() {
         OnAggregate(node, kInvalidNodeId,
                     *static_cast<const AggregateMessage*>(msg.inner.get()));
       });
+  // Frame handlers run inside the channel's net scope, but tree building
+  // and aggregation are not the packet plane's work (GpsrRouting::Deliver
+  // pauses the deliveries above the same way).
   for (Node* node : network_->AllNodes()) {
     node->RegisterHandler(MessageType::kKptTreeBuild,
                           [this, node](const Packet& p) {
+                            AllocScopePause protocol_work;
                             OnTreeBuild(node, p);
                           });
     node->RegisterHandler(
         MessageType::kKptAggregate, [this, node](const Packet& p) {
+          AllocScopePause protocol_work;
           OnAggregate(node, p.src,
                       *static_cast<const AggregateMessage*>(
                           p.payload.get()));

@@ -3,12 +3,12 @@
 //
 // Why not std::unordered_map: the node-based standard containers allocate
 // one heap node per element, so every per-query insert on the hot path —
-// reply dedup sets, collection windows, hop counters, neighbor indexes —
-// is a malloc, and every erase a free. FlatMap keeps keys and values in
-// two parallel flat arrays with linear probing and backward-shift
-// deletion; after the table has grown to its steady-state capacity, every
-// insert/erase/find is allocation-free. That is the discipline the
-// allocation-counter gate in bench_micro enforces (docs/PACKET_PLANE.md).
+// reply dedup sets, collection windows, hop counters — is a malloc, and
+// every erase a free. FlatMap keeps keys and values in two parallel flat
+// arrays with linear probing and backward-shift deletion; after the
+// table has grown to its steady-state capacity, every insert/erase/find
+// is allocation-free. That is the discipline the allocation-counter gate
+// in bench_micro enforces (docs/PACKET_PLANE.md).
 //
 // Determinism: iteration order is a pure function of the insertion /
 // erasure history (no pointer-derived hashing, no randomized seeds), so
@@ -84,13 +84,6 @@ class FlatMap {
 
   bool contains(const Key& key) const { return FindSlot(key) != kNpos; }
   size_t count(const Key& key) const { return contains(key) ? 1 : 0; }
-
-  /// Address of the slot a lookup of `key` reads first, or nullptr while
-  /// the map has no slots. Reads nothing but the slot array and the hash,
-  /// so a caller that knows a key ahead of its lookup can prefetch it.
-  const void* FirstProbe(const Key& key) const {
-    return slots_.empty() ? nullptr : &slots_[IndexFor(key)];
-  }
 
   Value* find(const Key& key) {
     const size_t i = FindSlot(key);

@@ -70,6 +70,10 @@ void BeaconService::FireSweep() {
 }
 
 void BeaconService::SendBeacon(Node* node) {
+  // A node drops the neighbors it has not heard within the timeout each
+  // time it beacons, as psim's sweep does, so its table holds the ~32
+  // fresh entries of Section 5.1 rather than everyone it ever heard.
+  node->neighbors().Expire(sim_->Now());
   auto msg = MessagePool::Make<BeaconMessage>();
   msg->id = node->id();
   msg->position = node->Position();

@@ -525,14 +525,13 @@ void PsimShard::DeliverFrame(const PsimFrame& f, SimTime now) {
   // (net/drift_band.h).
   //
   // Two passes. The first judges every candidate from its sweep position
-  // and prefetches the index slot its table update will probe first, so
+  // and prefetches the start of the id lane its table update scans, so
   // those cache misses overlap instead of stalling one reception at a
   // time. The second delivers. The first reads only `at` and `alive`,
   // which only the sweep writes, and the prefetch is a hint, so the
   // receptions and their order are those of a single pass.
   const DriftBand band(range,
                        world_->config.max_speed * (now - last_sweep_));
-  const NodeId sender = static_cast<NodeId>(f.sender);
   receivers_.clear();
   for (int dy = -1; dy <= 1; ++dy) {
     const int y = fy + dy;
@@ -549,7 +548,7 @@ void PsimShard::DeliverFrame(const PsimFrame& f, SimTime now) {
         const Reach reach = band.Classify(node.at, f.origin);
         if (reach == Reach::kOut) continue;
         receivers_.push_back(Receiver{r, reach});
-        __builtin_prefetch(node.neighbors.FirstProbe(sender));
+        __builtin_prefetch(node.neighbors.FirstProbe());
       }
     }
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/network.h"
 
 namespace diknn {
@@ -74,6 +76,32 @@ TEST(BeaconTest, DeadNodesStopBeaconing) {
   for (int u = 0; u < net.size(); ++u) {
     if (u == 3) continue;
     EXPECT_FALSE(net.node(u)->neighbors().Lookup(3, now).has_value());
+  }
+}
+
+TEST(BeaconTest, RevivedNodeIsListedLast) {
+  // A node drops expired neighbors when it beacons, so a neighbor heard
+  // again after an outage longer than the timeout is a first contact and
+  // takes the last slot, not the one it held before.
+  NetworkConfig config;
+  config.node_count = 10;
+  config.field = Rect::Field(14, 14);  // Diagonal < r: all in range.
+  config.mobility = MobilityKind::kStatic;
+  config.seed = 9;
+  Network net(config);
+  net.Warmup(1.6);
+  net.node(3)->set_alive(false);
+  net.sim().RunUntil(net.sim().Now() + config.neighbor_timeout + 1.0);
+  net.node(3)->set_alive(true);
+  net.sim().RunUntil(net.sim().Now() + 2 * config.beacon_interval);
+  const SimTime now = net.sim().Now();
+  for (int u = 0; u < net.size(); ++u) {
+    if (u == 3) continue;
+    std::vector<NodeId> order;
+    net.node(u)->neighbors().ForEachFresh(
+        now, [&](const NeighborEntry& e) { order.push_back(e.id); });
+    ASSERT_EQ(order.size(), 9u) << u;
+    EXPECT_EQ(order.back(), 3) << u;
   }
 }
 

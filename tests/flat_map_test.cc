@@ -177,39 +177,6 @@ TEST(FlatMapTest, NegativeIntKeys) {
   EXPECT_NE(map.find(5), nullptr);
 }
 
-TEST(FlatMapTest, FirstProbeNeedsSlotsAndChangesNothing) {
-  FlatMap<int, int> map;
-  EXPECT_EQ(map.FirstProbe(7), nullptr);  // No slots to point into yet.
-  map.reserve(4);
-  EXPECT_NE(map.FirstProbe(7), nullptr);
-
-  for (int k = 0; k < 40; k += 2) map.InsertOrAssign(k, 100 + k);
-  std::vector<std::pair<int, int>> before;
-  map.ForEach([&](int k, int v) { before.emplace_back(k, v); });
-  for (int k = -5; k < 45; ++k) {
-    // Present (even) and absent (odd or out of range) keys alike.
-    const void* probe = map.FirstProbe(k);
-    EXPECT_NE(probe, nullptr) << k;
-    EXPECT_EQ(map.FirstProbe(k), probe) << k;
-  }
-  EXPECT_EQ(map.size(), 20u);
-  std::vector<std::pair<int, int>> after;
-  map.ForEach([&](int k, int v) { after.emplace_back(k, v); });
-  EXPECT_EQ(after, before);
-  for (int k = -5; k < 45; ++k) {
-    const int* v = map.find(k);
-    if (k >= 0 && k < 40 && k % 2 == 0) {
-      ASSERT_NE(v, nullptr) << k;
-      EXPECT_EQ(*v, 100 + k);
-    } else {
-      EXPECT_EQ(v, nullptr) << k;
-    }
-  }
-
-  map.clear();  // Capacity is retained, so the slots are still there.
-  EXPECT_NE(map.FirstProbe(7), nullptr);
-}
-
 TEST(RingBufferTest, FifoOrderAcrossGrowth) {
   RingBuffer<int> ring;
   EXPECT_TRUE(ring.empty());

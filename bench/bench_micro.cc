@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the library's hot paths:
 // KNNB estimation, itinerary geometry, Gabriel planarization, the
-// discrete-event queue, flat-map churn, the frame pool, and ground-truth
-// KNN scans.
+// discrete-event queue, flat-map churn, neighbor-table refresh, the frame
+// pool, and ground-truth KNN scans.
 //
 // Before the benchmark loop runs, main() executes the steady-state
 // allocation gate: two identically-seeded DIKNN simulations whose
@@ -21,6 +21,7 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/flat_map.h"
@@ -28,6 +29,7 @@
 #include "harness/experiment.h"
 #include "knn/itinerary.h"
 #include "knn/knnb.h"
+#include "net/neighbor_table.h"
 #include "net/packet_pool.h"
 #include "psim/engine.h"
 #include "routing/planarize.h"
@@ -156,6 +158,38 @@ void BM_StdUnorderedChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StdUnorderedChurn)->Arg(16)->Arg(256)->Arg(4096);
+
+// Neighbor-table refresh, the per-reception cost of a heard beacon: a
+// table of n neighbors, each beaconing once per lap in a fixed shuffled
+// order, so every Update scans the id lane to a different depth. n = 20
+// is psim's mean degree on the 100k-node substrate, 32 a serial table at
+// Section 5.1 defaults, 136 a serial table that never expires.
+void BM_NeighborTableUpdate(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(42);
+  std::vector<NodeId> order;
+  NeighborTable table(1.5);
+  for (int i = 0; i < n; ++i) {
+    const NodeId id = 7 * i + 3;
+    order.push_back(id);
+    table.Update(id, {static_cast<double>(i), 0.0}, 0.0);
+  }
+  for (int i = n - 1; i > 0; --i) {
+    std::swap(order[static_cast<size_t>(i)],
+              order[static_cast<size_t>(rng.UniformInt(0, i))]);
+  }
+  size_t next = 0;
+  SimTime now = 0.0;
+  for (auto _ : state) {
+    table.Update(order[next], {now, 1.0}, now);
+    next = next + 1 < order.size() ? next + 1 : 0;
+    now += 1e-3;
+    benchmark::DoNotOptimize(&table);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NeighborTableUpdate)->Arg(20)->Arg(32)->Arg(136);
 
 // Frame-pool hot path: the acquire/release cycle the channel performs
 // once per transmitted frame, with a bounded set of frames in flight.
